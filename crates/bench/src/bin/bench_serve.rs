@@ -1,5 +1,5 @@
-//! Serving-tier harness: what the lock-free sharded read path buys under
-//! concurrent ingest.
+//! Serving-tier harness: what the generation-publishing read front buys
+//! under concurrent ingest.
 //!
 //! One mining pass precomputes a stream of tick receipts (snapshot +
 //! pattern deltas); both arms then replay the *identical* publication work
@@ -7,17 +7,19 @@
 //! contains exactly the thing the two designs disagree about — how state
 //! is published to readers:
 //!
-//! * **rwlock baseline** — the pre-sharding serving design, reconstructed:
+//! * **rwlock baseline** — the pre-front serving design, reconstructed:
 //!   one `BurstySearchEngine` behind an `Arc<RwLock<_>>`, every receipt
 //!   applied under the write lock, a single reader thread querying through
 //!   the read lock (Rust's `RwLock` is write-preferring, so commits stall
 //!   the reader exactly as the old `SearchHandle` did).
-//! * **sharded** — a [`ShardedEngine`] publishing epoch-swapped
-//!   generational snapshots to N reader threads through its
-//!   [`stb_search::ServingFront`]; no locks anywhere on the read path.
+//! * **front** — a [`BurstySearchEngine`] publishing generational
+//!   snapshots to N reader threads through its
+//!   [`stb_search::ServingFront`]; a reader holds the front's read lock
+//!   only to clone the current generation's `Arc`, never while the writer
+//!   re-scores.
 //!
 //! Reported: aggregate reader throughput under ingest for both arms (the
-//! speedup is the headline), plus the sharded arm's read-latency p99 idle
+//! speedup is the headline), plus the front arm's read-latency p99 idle
 //! vs under-ingest — the "ingest must not wreck tail latency" guarantee CI
 //! enforces in quick mode. Full mode (`--full`) runs 32 readers and
 //! additionally asserts the >= 8x aggregate-throughput gate — on a
@@ -31,7 +33,7 @@
 //! tf-idf relevance over a wide pre-populated vocabulary. Under tf-idf
 //! every arriving document stales every posting list, so each commit
 //! re-scores the whole index — all of it under the baseline's write lock,
-//! none of it blocking the sharded tier's readers. The live ticks burst a
+//! none of it blocking the front's readers. The live ticks burst a
 //! handful of hot terms, keeping the dirty sets (and the mining, which
 //! happens outside the measured window anyway) small.
 
@@ -42,7 +44,7 @@ use stb_corpus::{Collection, StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
 use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, PatternDelta, TickReceipt};
 use stb_obs::{HistogramSnapshot, LatencyHistogram};
-use stb_search::{BurstySearchEngine, EngineConfig, Query, Relevance, ShardedEngine};
+use stb_search::{BurstySearchEngine, EngineConfig, Query, Relevance};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -68,7 +70,6 @@ struct Workload {
     engine: EngineConfig,
     queries: Vec<Query>,
     n_readers: usize,
-    n_shards: usize,
     /// Idle-phase latency samples per reader.
     idle_samples: usize,
 }
@@ -142,7 +143,6 @@ fn build_workload(ctx: &ExperimentCtx) -> (Workload, Vec<TickDocs>) {
         engine: EngineConfig::builder().relevance(Relevance::TfIdf).build(),
         queries,
         n_readers,
-        n_shards: 8,
         idle_samples,
     };
     (workload, ticks)
@@ -215,25 +215,13 @@ fn apply_tick(engine: &mut BurstySearchEngine, tick: &ReplayTick) {
     }
 }
 
-/// Same publication work against the sharded engine, ending in one atomic
-/// generation publish.
-fn apply_tick_sharded(engine: &mut ShardedEngine, tick: &ReplayTick) {
-    engine.update_collection(Arc::clone(&tick.collection), &tick.receipt.new_docs);
-    for delta in &tick.receipt.deltas {
-        match delta {
-            PatternDelta::Regional { term, patterns } => engine.set_patterns(*term, patterns),
-            PatternDelta::Combinatorial { term, patterns } => engine.set_patterns(*term, patterns),
-        }
-    }
-    if engine.engine().config().relevance == Relevance::TfIdf && !tick.receipt.new_docs.is_empty() {
-        for term in tick.collection.terms() {
-            engine.refresh_term(term);
-        }
-    }
+/// Same publication work, ending in one generation publish to the front.
+fn apply_tick_published(engine: &mut BurstySearchEngine, tick: &ReplayTick) {
+    apply_tick(engine, tick);
     engine.publish();
 }
 
-/// The pre-sharding design: every receipt applied to a shared engine under
+/// The pre-front design: every receipt applied to a shared engine under
 /// a write lock, one reader querying through the read lock. Returns
 /// (aggregate queries/s under ingest, ingest wall ms).
 fn rwlock_arm(
@@ -279,22 +267,23 @@ fn rwlock_arm(
     })
 }
 
-/// The sharded lock-free serving tier. Returns (aggregate queries/s under
+/// The generation-publishing front. Returns (aggregate queries/s under
 /// ingest, ingest wall ms, idle latency histogram, under-ingest latency
 /// histogram). Each reader records into its own `stb-obs` log-linear
 /// latency histogram (nanoseconds); the per-reader snapshots are merged —
 /// the same mergeable-readout path the serving tier exports.
-fn sharded_arm(
+fn front_arm(
     w: &Workload,
     initial: &Arc<Collection>,
     populate: &[ReplayTick],
     live: &[ReplayTick],
 ) -> (f64, f64, HistogramSnapshot, HistogramSnapshot) {
-    let mut engine = ShardedEngine::new(Arc::clone(initial), w.engine, w.n_shards, 1024);
+    let mut engine = BurstySearchEngine::new(Arc::clone(initial), w.engine);
+    engine.set_cache_capacity(1024);
     engine.finalize_with_threads(1);
     engine.publish();
     for tick in populate {
-        apply_tick_sharded(&mut engine, tick);
+        apply_tick_published(&mut engine, tick);
     }
     let front = engine.front();
 
@@ -352,14 +341,14 @@ fn sharded_arm(
             .collect();
         let ((), ingest_ms) = measure_ms(|| {
             for tick in live {
-                apply_tick_sharded(&mut engine, tick);
+                apply_tick_published(&mut engine, tick);
             }
         });
         done.store(true, Ordering::Relaxed);
         let mut served = 0u64;
         let mut under = HistogramSnapshot::empty();
         for reader in readers {
-            let (s, lat) = reader.join().expect("sharded reader");
+            let (s, lat) = reader.join().expect("front reader");
             served += s;
             under.merge(&lat);
         }
@@ -375,7 +364,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "serving-tier harness (mode: {}, seed {}, {} cores): {} streams, \
-         {} + {} ticks, vocab {}, {} readers (sharded arm)",
+         {} + {} ticks, vocab {}, {} readers (front arm)",
         if ctx.full { "full" } else { "quick" },
         ctx.seed,
         cores,
@@ -391,8 +380,8 @@ fn main() {
     let live = &ticks[w.populate_ticks..];
 
     let (rwlock_qps, rwlock_ingest_ms) = rwlock_arm(&w, &initial, populate, live);
-    let (sharded_qps, sharded_ingest_ms, idle, under) = sharded_arm(&w, &initial, populate, live);
-    let speedup = sharded_qps / rwlock_qps.max(1e-9);
+    let (front_qps, front_ingest_ms, idle, under) = front_arm(&w, &initial, populate, live);
+    let speedup = front_qps / rwlock_qps.max(1e-9);
     let (idle_p50, idle_p99) = (quantile_us(&idle, 0.50), quantile_us(&idle, 0.99));
     let (ingest_p50, ingest_p99) = (quantile_us(&under, 0.50), quantile_us(&under, 0.99));
     let p99_ratio = ingest_p99 / idle_p99.max(1e-9);
@@ -418,14 +407,14 @@ fn main() {
         format!("{rwlock_ingest_ms:.1}"),
     ]);
     table.row([
-        format!("sharded lock-free ({:.1}x)", speedup),
+        format!("front ({:.1}x)", speedup),
         w.n_readers.to_string(),
-        format!("{sharded_qps:.0}"),
-        format!("{sharded_ingest_ms:.1}"),
+        format!("{front_qps:.0}"),
+        format!("{front_ingest_ms:.1}"),
     ]);
     println!("{}", table.render());
     println!(
-        "sharded read latency (histogram): idle p50 {idle_p50:.0} / p99 {idle_p99:.0} us, \
+        "front read latency (histogram): idle p50 {idle_p50:.0} / p99 {idle_p99:.0} us, \
          under ingest p50 {ingest_p50:.0} / p99 {ingest_p99:.0} us ({p99_ratio:.2}x)"
     );
     match gate {
@@ -436,17 +425,17 @@ fn main() {
         "skipped (1 core)" => println!(
             "throughput gate: skipped (1 core) — on a single hardware thread the fair \
              scheduler caps both arms near their CPU share, so the measured {speedup:.1}x \
-             says nothing about the lock-free tier"
+             says nothing about the front"
         ),
         _ => println!("throughput gate: enforced (>= 8x, measured {speedup:.1}x)"),
     }
 
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \
-         \"cores\": {},\n  \"readers\": {},\n  \"shards\": {},\n  \
+         \"cores\": {},\n  \"readers\": {},\n  \
          \"workload\": {{\"streams\": {}, \"populate_ticks\": {}, \"live_ticks\": {}, \
          \"vocab\": {}}},\n  \
-         \"rwlock_qps\": {:.1},\n  \"sharded_qps\": {:.1},\n  \"speedup\": {:.2},\n  \
+         \"rwlock_qps\": {:.1},\n  \"front_qps\": {:.1},\n  \"speedup\": {:.2},\n  \
          \"gate\": \"{}\",\n  \
          \"idle_p50_us\": {:.1},\n  \"idle_p99_us\": {:.1},\n  \
          \"ingest_p50_us\": {:.1},\n  \"ingest_p99_us\": {:.1},\n  \"p99_ratio\": {:.3}\n}}\n",
@@ -454,13 +443,12 @@ fn main() {
         ctx.seed,
         cores,
         w.n_readers,
-        w.n_shards,
         w.n_streams,
         w.populate_ticks,
         w.live_ticks,
         w.vocab,
         rwlock_qps,
-        sharded_qps,
+        front_qps,
         speedup,
         gate,
         idle_p50,
@@ -482,7 +470,7 @@ fn main() {
         "read p99 under ingest must stay within 3x of idle p99 \
          (idle {idle_p99:.0} us, under ingest {ingest_p99:.0} us)"
     );
-    // Throughput gate (full mode, 32 readers): the lock-free tier must
+    // Throughput gate (full mode, 32 readers): the front must
     // beat the single-reader RwLock baseline by >= 8x aggregate. The gate
     // needs real reader parallelism — on a single hardware thread the fair
     // scheduler hands the baseline's reader its timeslice whether or not
@@ -493,7 +481,7 @@ fn main() {
     if gate == "enforced" {
         assert!(
             speedup >= 8.0,
-            "sharded serving must yield >= 8x the RwLock baseline's aggregate \
+            "front serving must yield >= 8x the RwLock baseline's aggregate \
              throughput (got {speedup:.1}x)"
         );
     }

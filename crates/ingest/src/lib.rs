@@ -13,15 +13,16 @@
 //!   advances the per-(term, stream) online burst state, re-mines only the
 //!   tick's *dirty terms* (the streaming `STLocal` step of Algorithm 2, or
 //!   a dirty-subset `STComb` pass), and applies the resulting
-//!   [`PatternDelta`]s to a sharded `ShardedEngine` — per-term posting
-//!   re-scores and precise per-shard cache invalidation, never a full
-//!   rebuild — before publishing one new immutable serving generation.
-//! * [`SearchHandle`] — cloneable **lock-free** query access over the
-//!   engine's `ServingFront`, speaking the typed [`Query`] DSL
-//!   (time/region filters, explanations, structured errors): readers load
-//!   the current generation from an epoch-managed pointer and never block
-//!   ingestion (nor does ingestion block them), yet answer bit-identically
-//!   to the single-threaded engine.
+//!   [`PatternDelta`]s to a `BurstySearchEngine` — per-term posting
+//!   re-scores and per-term result-cache invalidation, never a full
+//!   rebuild — before publishing one new immutable serving generation that
+//!   shares every term's state with the engine.
+//! * [`SearchHandle`] — cloneable query access over the engine's
+//!   `ServingFront`, speaking the typed [`Query`] DSL (time/region
+//!   filters, explanations, structured errors): a query runs against one
+//!   published generation, never blocks ingestion (nor does ingestion
+//!   block it beyond a pointer swap), and answers bit-identically to the
+//!   single-threaded engine holding that state.
 //! * [`replay_tsv`] — drive a TSV corpus from disk through the pipeline
 //!   tick-by-tick via the streaming reader in `stb_corpus::tsv`.
 //! * **Standing subscriptions** ([`SearchHandle::subscribe`]) — register a

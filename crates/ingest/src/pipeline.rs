@@ -14,18 +14,19 @@
 //!    `STLocal` step (Algorithm 2) or a dirty-subset `STComb` pass for the
 //!    combinatorial view.
 //! 3. The resulting [`PatternDelta`]s are applied to the pipeline's
-//!    [`ShardedEngine`]: the new collection snapshot is swapped in, the
-//!    prebuilt posting index re-scores only the affected terms, and the
-//!    commit *publishes* one new immutable serving generation — the dirty
-//!    terms' shards are rebuilt and the per-shard LRU result caches
-//!    invalidate precisely the queries involving them.
+//!    [`BurstySearchEngine`]: the new collection snapshot is swapped in,
+//!    only the affected terms' posting lists are re-scored, and the commit
+//!    *publishes* one new immutable serving generation — sharing every
+//!    term's state with the engine instead of copying it — while the
+//!    result cache invalidates precisely the queries involving the dirty
+//!    terms.
 //!
 //! Queries are served concurrently through [`SearchHandle`]s over the
-//! engine's lock-free [`ServingFront`]: readers load the current generation
-//! from an epoch-managed pointer and never take a lock, so ingestion and
-//! search proceed side by side without reader/writer contention; a query
-//! observes either the previous tick's generation or the new one, never a
-//! half-applied commit.
+//! engine's [`ServingFront`]: a query clones the current generation's
+//! `Arc` under a read lock held for that clone only, then runs without
+//! blocking the writer (whose write lock covers only the pointer swap); a
+//! query observes either the previous tick's generation or the new one,
+//! never a half-applied commit.
 //!
 //! # Equivalence with the batch path
 //!
@@ -64,9 +65,8 @@ use stb_core::{
 use stb_corpus::{Collection, DocId, StreamId, TermId, Timestamp, Tokenizer};
 use stb_geo::{GeoPoint, Point2D};
 use stb_search::{
-    EngineConfig, EngineMetrics, NoPatternPolicy, Query, QueryError, QueryResponse, Relevance,
-    SearchResult, ServingFront, ShardedEngine, UnknownWords, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_SHARDS,
+    BurstySearchEngine, EngineConfig, EngineMetrics, Query, QueryError, QueryResponse, Relevance,
+    ServingFront, DEFAULT_CACHE_CAPACITY,
 };
 use stb_store::{
     DocRecord, Durability, PendingState, RetryPolicy, SnapshotState, Store, StoreError,
@@ -96,13 +96,9 @@ pub struct IngestConfig {
     pub miner: MinerKind,
     /// Scoring configuration of the serving engine.
     pub engine: EngineConfig,
-    /// Capacity of the engine's query-result cache (0 disables caching).
-    /// The capacity is split across the serving shards.
+    /// Capacity of the serving front's query-result cache (0 disables
+    /// caching).
     pub cache_capacity: usize,
-    /// Number of serving shards in the lock-free read tier (must be > 0).
-    /// Terms are routed by hash ([`stb_search::shard_of`]); more shards
-    /// mean finer-grained cache invalidation per commit.
-    pub n_shards: usize,
     /// When the write-ahead log forces appends to disk (only relevant for
     /// pipelines opened with [`IngestPipeline::durable`]).
     pub durability: Durability,
@@ -143,7 +139,6 @@ impl Default for IngestConfig {
             miner: MinerKind::STLocal(STLocalConfig::default()),
             engine: EngineConfig::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            n_shards: DEFAULT_SHARDS,
             durability: Durability::Buffered,
             checkpoint_every_ticks: 0,
             retry: RetryPolicy::default(),
@@ -314,8 +309,7 @@ impl std::error::Error for IngestError {}
 ///
 /// Obtained from [`IngestPipeline::health`] (always current) or
 /// [`SearchHandle::health`] (as of the last pipeline operation) — the
-/// admission-control and monitoring surface that replaces polling the
-/// deprecated `wal_error()`.
+/// admission-control and monitoring surface.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {
     /// The durability contract currently honored.
@@ -431,8 +425,7 @@ pub struct TickReceipt {
     /// new state (the pattern-freshness lag of this tick).
     pub commit_ms: f64,
     /// The durability contract this tick's commit left the pipeline in —
-    /// per-commit truth about whether the tick was logged, instead of
-    /// polling the deprecated `wal_error()` afterwards.
+    /// per-commit truth about whether the tick was logged.
     pub durability: DurabilityState,
 }
 
@@ -491,10 +484,10 @@ pub struct RecoveryReport {
 
 /// A cloneable handle for serving queries concurrently with ingestion.
 ///
-/// Handles wrap the pipeline engine's lock-free [`ServingFront`]: every
-/// query loads the current serving generation from an epoch-managed pointer
-/// and runs without taking any lock, so any number of query threads proceed
-/// in parallel and a tick commit never blocks them — the commit publishes a
+/// Handles wrap the pipeline engine's [`ServingFront`]: every query clones
+/// the current serving generation's `Arc` and runs against it, so any
+/// number of query threads proceed in parallel and a tick commit never
+/// waits for them (nor they for its re-scoring) — the commit publishes a
 /// new immutable generation and readers pick it up on their next query.
 ///
 /// The handle speaks the same typed query DSL as the engine itself
@@ -524,8 +517,8 @@ impl SearchHandle {
             .clone()
     }
 
-    /// Executes a typed [`Query`] against the current tick's generation,
-    /// without taking a lock. See [`ServingFront::query`].
+    /// Executes a typed [`Query`] against the current tick's generation.
+    /// See [`ServingFront::query`].
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         self.front.query(query)
     }
@@ -540,50 +533,6 @@ impl SearchHandle {
     /// (monotone; bumped by every commit).
     pub fn generation(&self) -> u64 {
         self.front.generation()
-    }
-
-    /// Answers a query: the top-`k` documents, best first.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query` and call `SearchHandle::query`"
-    )]
-    pub fn search(&self, query: &[TermId], k: usize) -> Vec<SearchResult> {
-        self.query(&Query::terms(query.iter().copied()).top_k(k))
-            .map(|response| response.results)
-            .unwrap_or_default()
-    }
-
-    /// Answers a whitespace-separated text query against the engine's
-    /// current dictionary snapshot. Unknown words follow the engine's
-    /// no-pattern policy, as in `BurstySearchEngine::search_text`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query::text(..)` and call `SearchHandle::query`"
-    )]
-    pub fn search_text(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let unknown = match self.front.config().no_pattern {
-            NoPatternPolicy::Exclude => UnknownWords::EmptyResponse,
-            NoPatternPolicy::Zero => UnknownWords::Drop,
-        };
-        self.query(&Query::text(query).top_k(k).unknown_words(unknown))
-            .map(|response| response.results)
-            .unwrap_or_default()
-    }
-
-    /// Answers a batch of queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build typed `Query` values and call `SearchHandle::query_many`"
-    )]
-    pub fn search_many(&self, queries: &[Vec<TermId>], k: usize) -> Vec<Vec<SearchResult>> {
-        let typed: Vec<Query> = queries
-            .iter()
-            .map(|q| Query::terms(q.iter().copied()).top_k(k))
-            .collect();
-        self.query_many(&typed)
-            .into_iter()
-            .map(|r| r.map(|response| response.results).unwrap_or_default())
-            .collect()
     }
 
     /// Registers a standing subscription for `query`: the pipeline
@@ -612,7 +561,7 @@ impl SearchHandle {
     }
 
     /// The serving counters: engine counters as of the last publish, cache
-    /// counters read live from the shard caches.
+    /// counters read live from the front's result cache.
     pub fn metrics(&self) -> EngineMetrics {
         self.front.metrics()
     }
@@ -662,8 +611,8 @@ struct StagedDoc {
 /// ```
 pub struct IngestPipeline {
     live: LiveCollection,
-    /// The sharded write side; its [`ServingFront`] serves lock-free reads.
-    engine: ShardedEngine,
+    /// The serving engine; its [`ServingFront`] serves concurrent reads.
+    engine: BurstySearchEngine,
     miner: MinerKind,
     /// One online miner per term ever seen (`STLocal` mode only).
     local_miners: HashMap<TermId, STLocal>,
@@ -750,12 +699,8 @@ impl IngestPipeline {
     /// registered and documents staged immediately.
     pub fn new(config: IngestConfig) -> Self {
         let live = LiveCollection::new(config.timeline_capacity);
-        let mut engine = ShardedEngine::new(
-            live.snapshot(),
-            config.engine,
-            config.n_shards,
-            config.cache_capacity,
-        );
+        let mut engine = BurstySearchEngine::new(live.snapshot(), config.engine);
+        engine.set_cache_capacity(config.cache_capacity);
         // Prebuild the (empty) posting index so every later pattern delta
         // takes the incremental per-term path, and publish generation 1 so
         // handles can serve before the first commit.
@@ -854,8 +799,8 @@ impl IngestPipeline {
             // A fresh engine over the recovered collection re-derives the
             // term→documents map deterministically; the persisted state
             // restores patterns and posting lists without re-scoring. The
-            // restore rebuilds every shard and publishes a new generation
-            // through the existing front (handles stay valid).
+            // restore publishes a new generation through the existing front
+            // (handles stay valid).
             pipeline
                 .engine
                 .restore(Arc::clone(&state.collection), state.engine);
@@ -974,7 +919,7 @@ impl IngestPipeline {
     /// Attaches an observability bundle to the whole pipeline:
     ///
     /// * the serving-side [`stb_search::SearchObs`] goes to the engine's
-    ///   lock-free front (query latency, TA-scan stats, trace sampling,
+    ///   read front (query latency, TA-scan stats, trace sampling,
     ///   slow-query log);
     /// * the [`stb_store::WalObs`] cells go to the open log writer — and
     ///   to every writer the pipeline re-opens later (degraded-mode
@@ -991,7 +936,7 @@ impl IngestPipeline {
     /// no-op) and expected to happen once, right after construction. An
     /// un-attached pipeline records nothing beyond its own counters.
     pub fn attach_obs(&mut self, obs: &Arc<PipelineObs>) {
-        self.engine.attach_obs(Arc::clone(obs.search()));
+        self.engine.front().attach_obs(Arc::clone(obs.search()));
         let registry = obs.registry();
         registry.adopt_counter("ingest_docs_total", Arc::clone(&self.docs_ingested));
         registry.adopt_counter("ingest_docs_shed_total", Arc::clone(&self.docs_shed));
@@ -1028,7 +973,7 @@ impl IngestPipeline {
         self.obs.as_ref()
     }
 
-    /// A cloneable query handle over the engine's lock-free serving front.
+    /// A cloneable query handle over the engine's serving front.
     pub fn search_handle(&self) -> SearchHandle {
         SearchHandle {
             front: self.engine.front(),
@@ -1530,9 +1475,8 @@ impl IngestPipeline {
         }
 
         // Publish: swap the snapshot in, apply the per-term deltas, and
-        // push one new serving generation to the lock-free front. Readers
-        // never block on this — they keep serving the previous generation
-        // until the publish lands.
+        // push one new serving generation to the front. Readers keep
+        // serving the previous generation until the publish lands.
         self.engine
             .update_collection(Arc::clone(&snapshot), &new_docs);
         for delta in &deltas {
@@ -1547,7 +1491,7 @@ impl IngestPipeline {
         }
         // Under tf-idf every term's relevance depends on the corpus
         // document count, so new documents stale every posting list.
-        if self.engine.engine().config().relevance == Relevance::TfIdf && !new_docs.is_empty() {
+        if self.engine.config().relevance == Relevance::TfIdf && !new_docs.is_empty() {
             for term in snapshot.terms() {
                 self.engine.refresh_term(term);
             }
@@ -1555,7 +1499,7 @@ impl IngestPipeline {
         // Under tf-idf the refresh above re-scored *every* posting list,
         // so every subscribed term may have moved, not just the mined set.
         let tfidf_refresh =
-            self.engine.engine().config().relevance == Relevance::TfIdf && !new_docs.is_empty();
+            self.engine.config().relevance == Relevance::TfIdf && !new_docs.is_empty();
         self.engine.publish();
         if let Some(c) = clock.as_deref_mut() {
             c.lap(SpanKind::Publish);
@@ -1741,20 +1685,6 @@ impl IngestPipeline {
         }
     }
 
-    /// The most recent store failure, while durability is not intact;
-    /// `None` whenever the pipeline is fully durable (or ephemeral).
-    #[deprecated(
-        since = "0.6.0",
-        note = "poll `IngestPipeline::health()` (or the per-commit `TickReceipt::durability`) \
-                instead of this single latched error"
-    )]
-    pub fn wal_error(&self) -> Option<&StoreError> {
-        match self.dur_state {
-            DurState::Durable => None,
-            DurState::Degraded | DurState::NonDurable => self.last_error.as_ref(),
-        }
-    }
-
     /// The durability contract the pipeline is currently honoring.
     pub fn durability_state(&self) -> DurabilityState {
         if self.store.is_none() {
@@ -1898,7 +1828,7 @@ impl IngestPipeline {
             durable: self.store.is_some(),
             wal_appends: self.wal_appends.get(),
             checkpoints: self.checkpoints.get(),
-            engine: self.engine.metrics(),
+            engine: self.engine.front().metrics(),
         }
     }
 }
@@ -1906,7 +1836,7 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stb_search::BurstySearchEngine;
+    use stb_search::{NoPatternPolicy, SearchResult};
 
     /// Typed-API term query through a live handle.
     fn run(handle: &SearchHandle, terms: &[TermId], k: usize) -> Vec<SearchResult> {
@@ -2199,7 +2129,7 @@ mod tests {
             });
             for tick in 0..40 {
                 burst_tick(&mut pipeline, &streams, t, (10..20).contains(&tick));
-                // The lock-free read path never blocks the writer, so on a
+                // The read path never blocks the writer, so on a
                 // single-CPU box the commit loop could finish before the
                 // reader is ever scheduled; yield to let it interleave.
                 std::thread::yield_now();
@@ -2691,21 +2621,6 @@ mod tests {
         assert!(h.durability.is_degraded());
         assert_eq!(h.buffered_ticks, 1);
         assert!(h.last_error.is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wal_error_still_reflects_state() {
-        let (mut pipeline, faults, s, t, dir) = faulted_pipeline("compat", 0, 8);
-        assert!(pipeline.wal_error().is_none());
-        faults.fail_next_at(FaultSite::WalAppend, InjectedFault::transient());
-        faults.fail_next_at(FaultSite::WalRead, InjectedFault::transient());
-        commit_one(&mut pipeline, s, t);
-        assert!(pipeline.wal_error().is_some());
-        faults.heal();
-        pipeline.try_recover_durability();
-        assert!(pipeline.wal_error().is_none(), "cleared on recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,15 +1,15 @@
-//! Serving-tier equivalence property tests: the sharded, lock-free
-//! [`SearchHandle`] must answer **byte-identically** to a single-threaded,
-//! unsharded [`BurstySearchEngine`] fed the same tick receipts — while
-//! reader threads hammer the handle concurrently with the commits.
+//! Serving-tier equivalence property tests: the pipeline's concurrent
+//! [`SearchHandle`] must answer **byte-identically** to a single-threaded
+//! [`BurstySearchEngine`] fed the same tick receipts — while reader threads
+//! hammer the handle concurrently with the commits.
 //!
 //! The shadow engine replays exactly what the pipeline's write side does
 //! each commit (`update_collection` + per-delta `set_patterns`), so any
 //! divergence at all — a float bit, a result order, an error variant —
-//! indicates a sharding, gather, or publication bug, not noise.
+//! indicates a gather, caching, or publication bug, not noise.
 //!
-//! Three axes are swept per case: miner (`STLocal`/`STComb`), result cache
-//! (on/off), and shard count (1, 2, 3, 8). The query set covers unfiltered
+//! Two axes are swept per case: miner (`STLocal`/`STComb`) and result cache
+//! (on/off). The query set covers unfiltered
 //! term queries, text queries, time-window and region filters, per-query
 //! relevance overrides, and explanations.
 
@@ -127,14 +127,13 @@ fn reference_of(responses: &[Result<QueryResponse, QueryError>]) -> GenReference
         .collect()
 }
 
-/// The shared check: drive `plan` through a sharded pipeline while reader
-/// threads hammer the handle, and compare every generation bit-for-bit
-/// against a single-threaded unsharded shadow engine fed the same receipts.
+/// The shared check: drive `plan` through a pipeline while reader threads
+/// hammer the handle, and compare every generation bit-for-bit against a
+/// single-threaded shadow engine fed the same receipts.
 fn check_serving_equivalence(
     plan: &[TickSpec],
     miner: MinerKind,
     cache_capacity: usize,
-    n_shards: usize,
 ) -> Result<(), TestCaseError> {
     let engine_config = EngineConfig::default();
     let mut pipeline = IngestPipeline::new(IngestConfig {
@@ -142,7 +141,6 @@ fn check_serving_equivalence(
         miner,
         engine: engine_config,
         cache_capacity,
-        n_shards,
         ..IngestConfig::default()
     });
     // Shadow: a plain single-threaded engine over the same snapshots,
@@ -278,7 +276,6 @@ proptest! {
             &plan,
             MinerKind::STLocal(STLocalConfig::default()),
             if cache { 64 } else { 0 },
-            8,
         )?;
     }
 
@@ -291,21 +288,7 @@ proptest! {
             &plan,
             MinerKind::STComb(STCombConfig::default()),
             if cache { 64 } else { 0 },
-            8,
         )?;
     }
 
-    #[test]
-    fn equivalence_holds_for_every_shard_count(
-        plan in arb_plan(),
-        shard_choice in 0usize..4,
-    ) {
-        let n_shards = [1usize, 2, 3, 8][shard_choice];
-        check_serving_equivalence(
-            &plan,
-            MinerKind::STLocal(STLocalConfig::default()),
-            64,
-            n_shards,
-        )?;
-    }
 }

@@ -1,8 +1,8 @@
-//! Snapshot-consistency stress test for the lock-free serving tier.
+//! Snapshot-consistency stress test for the serving tier.
 //!
 //! Eight reader threads hammer a [`SearchHandle`] while the writer commits
 //! ticks as fast as it can. The test pins down the three properties the
-//! epoch-swap design promises:
+//! generation-swap design promises:
 //!
 //! 1. **No torn generations.** Every query bracketed by two identical
 //!    `generation()` reads must return results bit-identical to a
@@ -73,7 +73,6 @@ fn readers_never_observe_torn_generations_and_counters_reconcile() {
         miner: MinerKind::STLocal(STLocalConfig::default()),
         engine: engine_config,
         cache_capacity: 64,
-        n_shards: 8,
         ..IngestConfig::default()
     });
 
@@ -151,7 +150,7 @@ fn readers_never_observe_torn_generations_and_counters_reconcile() {
         }
 
         // Writer: commit ticks with rotating dirty sets (bursts move across
-        // terms) so cache invalidation and shard rebuilds churn constantly.
+        // terms) so cache invalidation and publishes churn constantly.
         for tick in 0..N_TICKS {
             let hot = terms[tick % terms.len()];
             let quiet = terms[(tick + 1) % terms.len()];

@@ -1,16 +1,15 @@
 //! Unified observability for the live serving stack: a lock-free metrics
 //! registry, log-linear latency histograms, structured per-query /
 //! per-commit tracing, and a slow-query log — all std-only and recordable
-//! from the epoch-pinned read path without blocking readers.
+//! from the serving read path without blocking readers.
 //!
 //! The north star is a production system serving millions of users; its
 //! telemetry therefore has to satisfy two constraints at once:
 //!
 //! 1. **Recording must never block serving.** Counters, gauges, and
 //!    histogram buckets are plain atomics ([`Counter`], [`Gauge`],
-//!    [`LatencyHistogram`]), so the lock-free query path of
-//!    `stb-search`'s `ServingFront` can record latencies while holding an
-//!    epoch-pinned snapshot. Trace capture ([`TraceRing`],
+//!    [`LatencyHistogram`]), so the query path of `stb-search`'s
+//!    `ServingFront` records latencies without taking a lock. Trace capture ([`TraceRing`],
 //!    [`SlowQueryLog`]) claims a slot with one atomic `fetch_add` and
 //!    *tries* a per-slot lock — on contention the sample is dropped (and
 //!    counted), never waited for.

@@ -44,9 +44,9 @@ pub enum TraceKind {
 pub enum SpanKind {
     /// Query planning: term lookup, filter normalization, vacuity check.
     Plan,
-    /// Result-cache probe (per-shard LRU).
+    /// Result-cache probe (the generation-tagged LRU).
     CacheLookup,
-    /// Gathering per-term posting state from shard snapshots.
+    /// Gathering per-term posting lists.
     ShardGather,
     /// The Threshold Algorithm scan over gathered postings.
     TaScan,

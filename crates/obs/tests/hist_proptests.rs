@@ -90,9 +90,9 @@ proptest! {
         xs in prop::collection::vec(1u64..1_000_000, 1..150),
         ys in prop::collection::vec(1u64..1_000_000, 1..150),
     ) {
-        // Per-shard histograms merged must answer quantiles for the pooled
-        // population — the property the serving tier's per-shard metrics
-        // rely on.
+        // Per-thread histograms merged must answer quantiles for the pooled
+        // population — the property per-reader latency readouts (e.g.
+        // `bench_serve`) rely on.
         let ha = LatencyHistogram::new();
         let hb = LatencyHistogram::new();
         for &v in &xs {

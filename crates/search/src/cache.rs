@@ -10,13 +10,14 @@
 //! patterns, so a hit is always equivalent to re-running the query.
 //!
 //! The cache is internally synchronized (a `Mutex` around the map, atomic
-//! hit/miss counters), so a finalized engine can serve `&self` queries from
-//! multiple threads.
+//! hit/miss counters), so a finalized engine — and the serving front, whose
+//! entries are tagged with the generation they were computed from — can
+//! serve `&self` queries from multiple threads.
 
 use crate::engine::{EngineConfig, SearchResult};
 use stb_obs::Counter;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use stb_corpus::TermId;
 use stb_geo::Rect;
@@ -134,19 +135,36 @@ struct Entry {
 #[derive(Debug, Default)]
 struct Inner {
     map: HashMap<QueryKey, Entry>,
+    /// Recency index: `last_used` → key, one entry per cached query. Every
+    /// cache operation takes a fresh clock value, so timestamps are unique
+    /// and the first entry is always the least recently used.
+    recency: BTreeMap<u64, QueryKey>,
     clock: u64,
+    capacity: usize,
+}
+
+impl Inner {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn remove(&mut self, key: &QueryKey) {
+        if let Some(entry) = self.map.remove(key) {
+            self.recency.remove(&entry.last_used);
+        }
+    }
 }
 
 /// An LRU cache of top-k query results with per-term invalidation.
 ///
 /// Capacity 0 disables the cache entirely (every lookup misses, nothing is
-/// stored). Eviction scans for the least-recently-used entry, which is
-/// `O(capacity)` per insertion past capacity — fine for the intended
-/// capacities (hundreds to a few thousand distinct queries).
+/// stored). Lookups and insertions are `O(log capacity)`: a recency index
+/// ordered by last use finds the eviction victim without scanning.
+/// Per-term invalidation scans every entry.
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
-    capacity: usize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
 }
@@ -154,29 +172,41 @@ pub struct QueryCache {
 impl QueryCache {
     /// Creates a cache holding at most `capacity` distinct queries.
     pub fn new(capacity: usize) -> Self {
-        Self::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
+        Self {
+            inner: Mutex::new(Inner {
+                capacity,
+                ..Inner::default()
+            }),
+            hits: Arc::new(Counter::new()),
+            misses: Arc::new(Counter::new()),
+        }
     }
 
-    /// Creates a cache that counts hits and misses into the given shared
-    /// cells.
-    ///
-    /// The sharded serving tier passes the *same* two cells to every
-    /// per-shard cache, so the tier-wide totals are maintained by the hot
-    /// path itself — and an `ObsRegistry` that adopts the cells renders
-    /// them live, making `EngineMetrics` a thin view over the registry
-    /// rather than a separate tally.
-    pub fn with_counters(capacity: usize, hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
-        Self {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-            hits,
-            misses,
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // A panic mid-update could leave the map and the recency index
+        // disagreeing, so a poisoned cache is not reused.
+        self.inner
+            .lock()
+            .expect("query cache poisoned: a thread panicked while updating it")
     }
 
     /// Maximum number of cached queries (0 = caching disabled).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().capacity
+    }
+
+    /// Empties the cache and changes its capacity (0 disables caching).
+    /// The hit/miss counters keep counting.
+    pub fn set_capacity(&self, capacity: usize) {
+        let mut inner = self.lock();
+        inner.map.clear();
+        inner.recency.clear();
+        inner.capacity = capacity;
+    }
+
+    /// The live hit and miss cells, for adoption into an `ObsRegistry`.
+    pub(crate) fn counter_cells(&self) -> (&Arc<Counter>, &Arc<Counter>) {
+        (&self.hits, &self.misses)
     }
 
     /// Looks up a query, refreshing its recency on a hit.
@@ -194,15 +224,18 @@ impl QueryCache {
     /// `g+1` is being published must not serve results referencing state
     /// (e.g. documents) that `g` does not contain.
     pub fn get_at(&self, key: &QueryKey, generation: u64) -> Option<Vec<SearchResult>> {
-        if self.capacity == 0 {
+        let mut inner = self.lock();
+        if inner.capacity == 0 {
             self.misses.inc();
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(key) {
+        let clock = inner.tick();
+        let Inner { map, recency, .. } = &mut *inner;
+        match map.get_mut(key) {
             Some(entry) if entry.generation <= generation => {
+                if let Some(k) = recency.remove(&entry.last_used) {
+                    recency.insert(clock, k);
+                }
                 entry.last_used = clock;
                 self.hits.inc();
                 Some(entry.results.clone())
@@ -220,24 +253,17 @@ impl QueryCache {
         self.put_tagged(key, results, 0, || true);
     }
 
-    /// Stores a query's results only if `valid` still holds once the cache
-    /// lock is taken. The entry is untagged (generation 0), so every
-    /// [`QueryCache::get_at`] reader may consume it.
-    pub fn put_if(&self, key: QueryKey, results: Vec<SearchResult>, valid: impl FnOnce() -> bool) {
-        self.put_tagged(key, results, 0, valid);
-    }
-
     /// Stores a query's results computed from serving generation
     /// `generation`, only if `valid` still holds once the cache lock is
     /// taken.
     ///
-    /// This closes the lock-free serving tier's staleness race: a reader
-    /// evaluates against generation `g`, then calls `put_tagged` with a
-    /// check that the published generation is still `g`. Because the check
-    /// runs *under the same mutex* the writer's per-term invalidation
-    /// takes, a stale result either observes the bumped generation here
-    /// (and is not inserted) or is inserted before the writer invalidates —
-    /// in which case the writer's invalidation removes it.
+    /// This closes the serving front's staleness race: a reader evaluates
+    /// against generation `g`, then calls `put_tagged` with a check that
+    /// the published generation is still `g`. Because the check runs
+    /// *under the same mutex* the writer's per-term invalidation takes, a
+    /// stale result either observes the bumped generation here (and is not
+    /// inserted) or is inserted before the writer invalidates — in which
+    /// case the writer's invalidation removes it.
     pub fn put_tagged(
         &self,
         key: QueryKey,
@@ -245,25 +271,18 @@ impl QueryCache {
         generation: u64,
         valid: impl FnOnce() -> bool,
     ) {
-        if self.capacity == 0 {
+        let mut inner = self.lock();
+        if inner.capacity == 0 || !valid() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
-        if !valid() {
-            return;
-        }
-        inner.clock += 1;
-        let clock = inner.clock;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            if let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
+        let clock = inner.tick();
+        inner.remove(&key);
+        if inner.map.len() >= inner.capacity {
+            if let Some((_, lru)) = inner.recency.pop_first() {
                 inner.map.remove(&lru);
             }
         }
+        inner.recency.insert(clock, key.clone());
         inner.map.insert(
             key,
             Entry {
@@ -276,18 +295,27 @@ impl QueryCache {
 
     /// Drops every cached query that involves `term`.
     pub fn invalidate_term(&self, term: TermId) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.map.retain(|key, _| !key.involves(term));
+        let mut inner = self.lock();
+        let Inner { map, recency, .. } = &mut *inner;
+        map.retain(|key, entry| {
+            let keep = !key.involves(term);
+            if !keep {
+                recency.remove(&entry.last_used);
+            }
+            keep
+        });
     }
 
     /// Drops every cached entry.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().map.clear();
+        let mut inner = self.lock();
+        inner.map.clear();
+        inner.recency.clear();
     }
 
     /// Number of currently cached queries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache currently holds no entries.
@@ -295,15 +323,12 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Number of lookups answered from the cache since construction (the
-    /// shared cell's total when constructed via
-    /// [`QueryCache::with_counters`]).
+    /// Number of lookups answered from the cache since construction.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Number of lookups that missed since construction (the shared
-    /// cell's total when constructed via [`QueryCache::with_counters`]).
+    /// Number of lookups that missed since construction.
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
@@ -434,19 +459,126 @@ mod tests {
     }
 
     #[test]
-    fn put_if_respects_the_validity_check() {
-        let cache = QueryCache::new(4);
-        cache.put_if(key(&[1], 5), results(1), || false);
-        assert!(cache.is_empty());
-        cache.put_if(key(&[1], 5), results(1), || true);
-        assert_eq!(cache.get(&key(&[1], 5)), Some(results(1)));
-    }
-
-    #[test]
     fn clear_empties_the_cache() {
         let cache = QueryCache::new(8);
         cache.put(key(&[1], 5), results(1));
         cache.clear();
+        assert!(cache.is_empty());
+    }
+
+    /// The original cache: LRU eviction by a linear scan for the smallest
+    /// `last_used`. The reference the recency index must match exactly.
+    #[derive(Default)]
+    struct LinearScan {
+        map: HashMap<QueryKey, (Vec<SearchResult>, u64, u64)>,
+        clock: u64,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl LinearScan {
+        fn get_at(&mut self, key: &QueryKey, generation: u64) -> Option<Vec<SearchResult>> {
+            if self.capacity == 0 {
+                self.misses += 1;
+                return None;
+            }
+            self.clock += 1;
+            match self.map.get_mut(key) {
+                Some(entry) if entry.2 <= generation => {
+                    entry.1 = self.clock;
+                    self.hits += 1;
+                    Some(entry.0.clone())
+                }
+                _ => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn put_tagged(&mut self, key: QueryKey, results: Vec<SearchResult>, generation: u64) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.clock += 1;
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                let lru = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| k.clone());
+                if let Some(lru) = lru {
+                    self.map.remove(&lru);
+                }
+            }
+            self.map.insert(key, (results, self.clock, generation));
+        }
+    }
+
+    proptest::proptest! {
+        /// Random get/put/invalidate/clear sequences leave the indexed
+        /// cache and the linear-scan reference with the same contents and
+        /// the same hit/miss counts, so eviction order is unchanged.
+        #[test]
+        fn recency_index_matches_linear_scan_reference(
+            capacity in 0usize..6,
+            ops in proptest::collection::vec((0u8..10, 0u32..5, 0u32..5, 0u64..4), 0..200),
+        ) {
+            let cache = QueryCache::new(capacity);
+            let mut reference = LinearScan {
+                capacity,
+                ..LinearScan::default()
+            };
+            for (op, a, b, generation) in ops {
+                let k = key(&[a, b], 5);
+                match op {
+                    0..=3 => proptest::prop_assert_eq!(
+                        cache.get_at(&k, generation),
+                        reference.get_at(&k, generation)
+                    ),
+                    4..=7 => {
+                        cache.put_tagged(k.clone(), results(a + b), generation, || true);
+                        reference.put_tagged(k, results(a + b), generation);
+                    }
+                    8 => {
+                        cache.invalidate_term(TermId(a));
+                        reference.map.retain(|key, _| !key.involves(TermId(a)));
+                    }
+                    _ => {
+                        cache.clear();
+                        reference.map.clear();
+                    }
+                }
+                let inner = cache.lock();
+                proptest::prop_assert_eq!(inner.map.len(), reference.map.len());
+                proptest::prop_assert_eq!(inner.recency.len(), reference.map.len());
+                for (key, (res, _, generation)) in &reference.map {
+                    let entry = inner.map.get(key);
+                    proptest::prop_assert!(entry.is_some(), "missing {key:?}");
+                    let entry = entry.unwrap();
+                    proptest::prop_assert_eq!(&entry.results, res);
+                    proptest::prop_assert_eq!(entry.generation, *generation);
+                    proptest::prop_assert_eq!(inner.recency.get(&entry.last_used), Some(key));
+                }
+            }
+            proptest::prop_assert_eq!(cache.hits(), reference.hits);
+            proptest::prop_assert_eq!(cache.misses(), reference.misses);
+        }
+    }
+
+    #[test]
+    fn set_capacity_empties_and_resizes() {
+        let cache = QueryCache::new(4);
+        cache.put(key(&[1], 5), results(1));
+        cache.set_capacity(1);
+        assert!(cache.is_empty());
+        assert_eq!(cache.capacity(), 1);
+        cache.put(key(&[1], 5), results(1));
+        cache.put(key(&[2], 5), results(2));
+        assert_eq!(cache.len(), 1);
+        cache.set_capacity(0);
+        cache.put(key(&[1], 5), results(1));
         assert!(cache.is_empty());
     }
 }

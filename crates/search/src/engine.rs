@@ -19,8 +19,7 @@
 //! optional `time_window`/`region` filters, per-query options) executed by
 //! [`BurstySearchEngine::query`] into a `Result<QueryResponse, QueryError>`
 //! carrying results, optional per-document explanations, and execution
-//! stats. The historical `search`/`search_many`/`search_text` trio remains
-//! as thin deprecated shims over the DSL.
+//! stats.
 //!
 //! # Serving path
 //!
@@ -38,23 +37,24 @@
 //!   and invalidated per term by [`BurstySearchEngine::set_patterns`],
 //! * an incremental per-term rebuild: updating one term's patterns after
 //!   finalization re-scores only that term's posting list, and
-//! * a batched [`BurstySearchEngine::query_many`] that amortizes index
-//!   construction (cold mode, grouped by identical filters) or cache
-//!   traffic (finalized mode) over a whole workload.
+//! * a read front ([`BurstySearchEngine::front`]) for concurrent readers,
+//!   fed by [`BurstySearchEngine::publish`], which shares every term's
+//!   state with the published generation instead of copying it (see
+//!   [`crate::serving`]).
 
 use crate::burstiness::{BurstinessAgg, NoPatternPolicy};
 use crate::cache::{QueryCache, QueryKey};
 use crate::error::QueryError;
-use crate::index::{InvertedIndex, Posting};
+use crate::index::{InvertedIndex, Posting, PostingList};
 use crate::obs::SearchObs;
 use crate::query::{
     DocExplanation, PatternMatch, Query, QueryResponse, QueryStats, QueryTerms, TermExplanation,
     UnknownWords,
 };
 use crate::relevance::Relevance;
-use crate::threshold::{threshold_topk_with_stats, ScoredDoc, TopkStats};
-use stb_obs::{SpanClock, SpanKind};
-use std::collections::HashMap;
+use crate::serving::{Generation, ServingFront, ServingState, TermMap, TermState};
+use crate::threshold::{ScoredDoc, TopkStats};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -271,30 +271,35 @@ impl PatternFilter {
 /// assert_eq!(again.results, top.results);
 /// assert!(again.stats.cache_hit);
 /// assert!(engine.metrics().cache_hits >= 1);
+///
+/// // Concurrent readers query published generations through the front.
+/// engine.publish();
+/// let front = engine.front();
+/// assert_eq!(front.query(&Query::terms([quake]).top_k(2)).unwrap().results, top.results);
 /// ```
 ///
 /// # Ownership and live updates
 ///
 /// The engine *owns* its collection as an `Arc<Collection>` snapshot
-/// rather than borrowing it: queries (`&self`, internally synchronized
-/// cache) can then be served from one thread while an ingestion pipeline
-/// prepares the next snapshot on another, swapping it in with
+/// rather than borrowing it: a live pipeline swaps newer snapshots in with
 /// [`BurstySearchEngine::update_collection`]. `new` accepts anything
 /// convertible into the shared handle — an `Arc<Collection>`, an owned
 /// `Collection`, or (cloning) a `&Collection`.
+///
+/// Mutations apply to the engine's working state, which
+/// [`BurstySearchEngine::query`] reads directly. Other threads read through
+/// the engine's [`ServingFront`] ([`BurstySearchEngine::front`]), which
+/// serves the generation last [`publish`](BurstySearchEngine::publish)ed:
+/// the engine records which terms each mutation dirtied, and a publish
+/// shares every term's state with the new generation and invalidates
+/// exactly the dirty terms' cached results.
 pub struct BurstySearchEngine {
-    collection: Arc<Collection>,
-    config: EngineConfig,
+    /// The working state queries run against.
+    state: ServingState,
     /// Planar stream positions of the current snapshot (indexed by
     /// `StreamId::index`), cached for pattern-geometry capture.
     positions: Vec<Point2D>,
-    patterns: HashMap<TermId, Vec<StoredPattern>>,
-    /// Corpus-level inverted lists: term → documents containing it.
-    term_docs: HashMap<TermId, Vec<DocId>>,
-    /// The full-collection scored posting index, present after
-    /// [`BurstySearchEngine::finalize`].
-    prebuilt: Option<InvertedIndex>,
-    /// LRU cache of evaluated top-k result lists.
+    /// LRU cache of evaluated top-k result lists over the working state.
     cache: QueryCache,
     /// Number of full prebuilt-index builds (for [`EngineMetrics`]).
     finalize_count: u64,
@@ -305,12 +310,20 @@ pub struct BurstySearchEngine {
     /// Observability hooks, set once via
     /// [`BurstySearchEngine::attach_obs`]; unset skips instrumentation.
     obs: OnceLock<Arc<SearchObs>>,
+    /// The read side, serving published generations of `state`.
+    front: Arc<ServingFront>,
+    /// The generation of the last publish.
+    generation: u64,
+    /// Terms whose state changed since the last publish.
+    dirty: BTreeSet<TermId>,
+    /// Every term changed since the last publish (finalize, import).
+    all_dirty: bool,
 }
 
 /// A point-in-time snapshot of the engine's serving counters, for benchmark
 /// harnesses and operational monitoring (see `IngestPipeline` in
 /// `stb-ingest`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineMetrics {
     /// Searches answered from the query-result cache.
     pub cache_hits: u64,
@@ -337,54 +350,96 @@ pub struct EngineMetrics {
     pub n_docs: usize,
 }
 
+/// Every term's corpus-level document list, ascending and deduplicated.
+fn index_documents(collection: &Collection) -> TermMap {
+    let mut docs: HashMap<TermId, Vec<DocId>> = HashMap::new();
+    for doc in collection.documents() {
+        for &term in doc.counts.keys() {
+            docs.entry(term).or_default().push(doc.id);
+        }
+    }
+    docs.into_iter()
+        .map(|(term, mut docs)| {
+            docs.sort();
+            docs.dedup();
+            let state = TermState {
+                docs,
+                ..TermState::default()
+            };
+            (term, Arc::new(state))
+        })
+        .collect()
+}
+
 impl BurstySearchEngine {
     /// Creates an engine over a collection with the given scoring
     /// configuration. Patterns must be registered per term with
     /// [`BurstySearchEngine::set_patterns`] before searching.
+    ///
+    /// The front's initial generation (0) is empty and unfinalized;
+    /// [`publish`](Self::publish) to begin serving through it.
     pub fn new(collection: impl Into<Arc<Collection>>, config: EngineConfig) -> Self {
-        let collection = collection.into();
-        let mut term_docs: HashMap<TermId, Vec<DocId>> = HashMap::new();
-        for doc in collection.documents() {
-            for &term in doc.counts.keys() {
-                term_docs.entry(term).or_default().push(doc.id);
-            }
-        }
-        for docs in term_docs.values_mut() {
-            docs.sort();
-            docs.dedup();
-        }
+        let collection: Arc<Collection> = collection.into();
+        let initial = Generation {
+            number: 0,
+            state: ServingState {
+                collection: Arc::clone(&collection),
+                config,
+                finalized: false,
+                terms: Arc::default(),
+            },
+            metrics: EngineMetrics {
+                n_docs: collection.documents().len(),
+                ..EngineMetrics::default()
+            },
+        };
         Self {
             positions: collection.positions(),
-            collection,
-            config,
-            patterns: HashMap::new(),
-            term_docs,
-            prebuilt: None,
+            state: ServingState {
+                terms: Arc::new(index_documents(&collection)),
+                collection,
+                config,
+                finalized: false,
+            },
             cache: QueryCache::new(DEFAULT_CACHE_CAPACITY),
             finalize_count: 0,
             last_finalize: None,
             term_rescore_count: 0,
             obs: OnceLock::new(),
+            front: Arc::new(ServingFront::new(initial, DEFAULT_CACHE_CAPACITY)),
+            generation: 0,
+            dirty: BTreeSet::new(),
+            all_dirty: false,
         }
     }
 
-    /// Attaches observability hooks: queries start recording latency,
-    /// sampled traces, and slow-query entries into the given
-    /// [`SearchObs`]. Attach once at wiring time; later calls are
-    /// ignored. (The sharded tier attaches to its `ServingFront`
-    /// instead; see `ServingFront::attach_obs`.)
+    /// Attaches observability hooks to the engine's own queries: they start
+    /// recording latency, sampled traces, and slow-query entries into the
+    /// given [`SearchObs`]. Attach once at wiring time; later calls are
+    /// ignored. (Queries through the front are instrumented by
+    /// [`ServingFront::attach_obs`].)
     pub fn attach_obs(&self, obs: Arc<SearchObs>) {
         let _ = self.obs.set(obs);
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The engine's current collection snapshot.
     pub fn collection(&self) -> &Arc<Collection> {
-        &self.collection
+        &self.state.collection
+    }
+
+    /// Copy-on-write access to one term's state, marking it dirty: clones
+    /// the term map if a published generation still shares it, and the
+    /// term's state if shared (copying its document list; patterns and
+    /// postings stay shared until replaced).
+    fn term_mut(&mut self, term: TermId) -> &mut TermState {
+        self.dirty.insert(term);
+        let terms = Arc::make_mut(&mut self.state.terms);
+        Arc::make_mut(terms.entry(term).or_default())
     }
 
     /// Registers the mined patterns of a term, replacing any previous ones.
@@ -399,7 +454,7 @@ impl BurstySearchEngine {
     /// of `term` alone (the rest of the prebuilt index is untouched) and
     /// invalidates the cached results of every query involving the term.
     pub fn set_patterns<P: PatternGeometry>(&mut self, term: TermId, patterns: &[P]) {
-        let stored = patterns
+        let stored: Arc<[StoredPattern]> = patterns
             .iter()
             .map(|p| StoredPattern {
                 streams: p.streams().to_vec(),
@@ -408,14 +463,14 @@ impl BurstySearchEngine {
                 score: p.score(),
             })
             .collect();
-        self.patterns.insert(term, stored);
+        self.term_mut(term).patterns = Some(stored);
         self.refresh_term(term);
     }
 
     /// Re-derives one term's scored posting list from the engine's current
-    /// collection snapshot and patterns, updating the prebuilt index in
-    /// place (if finalized) and invalidating the cached results of every
-    /// query involving the term.
+    /// collection snapshot and patterns, replacing it in the prebuilt index
+    /// (if finalized) and invalidating the cached results of every query
+    /// involving the term.
     ///
     /// [`BurstySearchEngine::set_patterns`] calls this automatically; call
     /// it directly when a term's scores changed for a reason *other* than
@@ -423,14 +478,19 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::update_collection`], or the corpus-level
     /// statistics a [`Relevance::TfIdf`] configuration depends on moved.
     pub fn refresh_term(&mut self, term: TermId) {
-        if self.prebuilt.is_some() {
-            let list = self.term_postings(term);
-            if let Some(index) = self.prebuilt.as_mut() {
-                index.set_postings(term, list);
+        if self.state.finalized {
+            let list = self
+                .state
+                .score_term(term, self.state.config, PatternFilter::NONE);
+            let postings = PostingList::from_scored(list).map(Arc::new);
+            let had_postings = self.state.term(term).is_some_and(|s| s.postings.is_some());
+            if postings.is_some() || had_postings {
+                self.term_mut(term).postings = postings;
             }
             self.term_rescore_count += 1;
         }
         self.cache.invalidate_term(term);
+        self.dirty.insert(term);
     }
 
     /// Swaps in a newer collection snapshot, incrementally extending the
@@ -444,12 +504,10 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::refresh_term`] — which is exactly what the
     /// `stb-ingest` pipeline's per-tick commit does with its dirty-term set.
     pub fn update_collection(&mut self, collection: Arc<Collection>, new_docs: &[DocId]) {
-        self.collection = collection;
-        self.positions = self.collection.positions();
+        self.positions = collection.positions();
         for &doc_id in new_docs {
-            let doc = self.collection.document(doc_id);
-            for &term in doc.counts.keys() {
-                let docs = self.term_docs.entry(term).or_default();
+            for &term in collection.document(doc_id).counts.keys() {
+                let docs = &mut self.term_mut(term).docs;
                 debug_assert!(
                     docs.last().is_none_or(|&last| last < doc_id),
                     "new documents must arrive in id order"
@@ -457,6 +515,7 @@ impl BurstySearchEngine {
                 docs.push(doc_id);
             }
         }
+        self.state.collection = collection;
     }
 
     /// Registers the patterns of every term of a [`PatternSource`] — e.g.
@@ -475,97 +534,13 @@ impl BurstySearchEngine {
 
     /// Number of documents that contain the term.
     pub fn doc_freq(&self, term: TermId) -> usize {
-        self.term_docs.get(&term).map(Vec::len).unwrap_or(0)
-    }
-
-    /// The stored patterns of a term (crate-internal: the sharded serving
-    /// tier copies these into shard snapshots).
-    pub(crate) fn patterns_of(&self, term: TermId) -> Option<&[StoredPattern]> {
-        self.patterns.get(&term).map(Vec::as_slice)
-    }
-
-    /// The corpus-level term→documents list of a term.
-    pub(crate) fn term_docs_of(&self, term: TermId) -> Option<&[DocId]> {
-        self.term_docs.get(&term).map(Vec::as_slice)
-    }
-
-    /// Every term the engine knows about: the union of terms appearing in
-    /// the collection and terms with registered patterns, sorted.
-    pub(crate) fn known_terms(&self) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self
-            .term_docs
-            .keys()
-            .chain(self.patterns.keys())
-            .copied()
-            .collect();
-        terms.sort();
-        terms.dedup();
-        terms
+        self.state.doc_freq(term)
     }
 
     /// `burstiness(d, t)` of Eq. 11: aggregates the scores of the patterns of
     /// `term` that overlap the document, or `None` if no pattern overlaps.
     pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        self.burstiness_with(term, doc, self.config.aggregation, PatternFilter::NONE)
-    }
-
-    /// Eq. 11 restricted to the patterns surviving `filter`.
-    fn burstiness_with(
-        &self,
-        term: TermId,
-        doc: DocId,
-        aggregation: BurstinessAgg,
-        filter: PatternFilter,
-    ) -> Option<f64> {
-        let document = self.collection.document(doc);
-        burstiness_of(
-            self.patterns.get(&term).map(Vec::as_slice),
-            document.stream,
-            document.timestamp,
-            aggregation,
-            filter,
-        )
-    }
-
-    /// The Eq. 10–11 scored posting list of one term (unsorted) under the
-    /// engine's own configuration and no filter — the list the prebuilt
-    /// index materializes.
-    fn term_postings(&self, term: TermId) -> Vec<Posting> {
-        self.term_postings_with(term, self.config, PatternFilter::NONE)
-    }
-
-    /// The scored posting list of one term under an effective configuration
-    /// (the engine's, possibly overridden per query) and a pattern filter.
-    fn term_postings_with(
-        &self,
-        term: TermId,
-        config: EngineConfig,
-        filter: PatternFilter,
-    ) -> Vec<Posting> {
-        scored_postings(
-            &self.collection,
-            term,
-            self.term_docs.get(&term).map(Vec::as_slice),
-            self.patterns.get(&term).map(Vec::as_slice),
-            config,
-            filter,
-        )
-    }
-
-    /// Builds the per-term inverted index (Eq. 10 per-term scores) for a set
-    /// of query terms.
-    pub fn build_index(&self, query: &[TermId]) -> InvertedIndex {
-        self.build_index_with(query, self.config, PatternFilter::NONE)
-    }
-
-    /// Per-query index under an effective configuration and filter.
-    fn build_index_with(
-        &self,
-        query: &[TermId],
-        config: EngineConfig,
-        filter: PatternFilter,
-    ) -> InvertedIndex {
-        query_index(query, |term| self.term_postings_with(term, config, filter))
+        self.state.document_burstiness(term, doc)
     }
 
     /// Prebuilds the score-sorted posting index of **every** term in the
@@ -583,39 +558,39 @@ impl BurstySearchEngine {
     ///
     /// Terms are scored independently (exactly the independence `STLocal`'s
     /// parallel mining driver exploits), so the build distributes term ids
-    /// over `n_threads` scoped threads and merges the finished lists into
-    /// one [`InvertedIndex`]. The result is deterministic regardless of the
-    /// thread count. Any previously cached query results are dropped.
+    /// over `n_threads` scoped threads and installs each finished list as
+    /// its term's posting list. The result is deterministic regardless of
+    /// the thread count. Any previously cached query results are dropped.
     ///
     /// Calling this again after more [`BurstySearchEngine::set_patterns`]
     /// calls rebuilds from the current patterns; for single-term updates the
     /// incremental path inside `set_patterns` is cheaper.
     pub fn finalize_with_threads(&mut self, n_threads: usize) {
         let start = Instant::now();
-        let mut terms: Vec<TermId> = self.term_docs.keys().copied().collect();
-        terms.sort();
-        let this = &*self;
-        let lists = parallel_map(terms.len(), n_threads, |i| this.term_postings(terms[i]));
-        let mut index = InvertedIndex::new();
+        let terms: Vec<TermId> = self.state.terms.keys().copied().collect();
+        let state = &self.state;
+        let lists = parallel_map(terms.len(), n_threads, |i| {
+            state.score_term(terms[i], state.config, PatternFilter::NONE)
+        });
+        let map = Arc::make_mut(&mut self.state.terms);
         for (term, list) in terms.iter().zip(lists) {
-            index.set_postings(*term, list);
+            let postings = PostingList::from_scored(list).map(Arc::new);
+            if let Some(slot) = map.get_mut(term) {
+                if postings.is_some() || slot.postings.is_some() {
+                    Arc::make_mut(slot).postings = postings;
+                }
+            }
         }
-        index.finalize();
-        self.prebuilt = Some(index);
+        self.state.finalized = true;
         self.cache.clear();
+        self.all_dirty = true;
         self.finalize_count += 1;
         self.last_finalize = Some(start.elapsed());
     }
 
     /// Whether the full-collection posting index has been prebuilt.
     pub fn is_finalized(&self) -> bool {
-        self.prebuilt.is_some()
-    }
-
-    /// The prebuilt full-collection posting index, if
-    /// [`BurstySearchEngine::finalize`] has run.
-    pub fn prebuilt_index(&self) -> Option<&InvertedIndex> {
-        self.prebuilt.as_ref()
+        self.state.finalized
     }
 
     /// Exports the engine's derived state — per-term patterns with their
@@ -623,32 +598,26 @@ impl BurstySearchEngine {
     /// lists — in a deterministic order, preserving every score's exact
     /// `f64` bit pattern. See [`EngineState`].
     pub fn export_state(&self) -> EngineState {
-        let mut terms: Vec<TermId> = self.patterns.keys().copied().collect();
-        terms.sort();
+        let mut terms: Vec<(&TermId, &Arc<TermState>)> = self.state.terms.iter().collect();
+        terms.sort_by_key(|(term, _)| **term);
         let patterns = terms
-            .into_iter()
-            .map(|term| {
-                let records = self.patterns[&term]
-                    .iter()
-                    .map(PatternRecord::from)
-                    .collect();
-                (term, records)
+            .iter()
+            .filter_map(|(term, state)| {
+                let records = state.patterns.as_ref()?;
+                Some((**term, records.iter().map(PatternRecord::from).collect()))
             })
             .collect();
-        let (finalized, postings) = match &self.prebuilt {
-            Some(index) => {
-                let lists = index
-                    .terms()
-                    .into_iter()
-                    .map(|term| (term, index.postings(term).to_vec()))
-                    .collect();
-                (true, lists)
-            }
-            None => (false, Vec::new()),
+        let postings = if self.state.finalized {
+            terms
+                .iter()
+                .filter_map(|(term, state)| Some((**term, state.postings.as_ref()?.sorted.clone())))
+                .collect()
+        } else {
+            Vec::new()
         };
         EngineState {
             patterns,
-            finalized,
+            finalized: self.state.finalized,
             postings,
         }
     }
@@ -665,353 +634,141 @@ impl BurstySearchEngine {
     /// collection snapshot yields an engine that answers every query
     /// byte-identically to the original.
     pub fn import_state(&mut self, state: EngineState) {
-        self.patterns = state
-            .patterns
-            .into_iter()
-            .map(|(term, records)| {
-                let stored = records.into_iter().map(StoredPattern::from).collect();
-                (term, stored)
-            })
-            .collect();
-        self.prebuilt = if state.finalized {
-            let mut index = InvertedIndex::new();
-            for (term, list) in state.postings {
-                index.set_postings(term, list);
+        let terms = Arc::make_mut(&mut self.state.terms);
+        for slot in terms.values_mut() {
+            if slot.patterns.is_some() || slot.postings.is_some() {
+                let s = Arc::make_mut(slot);
+                s.patterns = None;
+                s.postings = None;
             }
-            Some(index)
-        } else {
-            None
-        };
+        }
+        for (term, records) in state.patterns {
+            let stored = records.into_iter().map(StoredPattern::from).collect();
+            Arc::make_mut(terms.entry(term).or_default()).patterns = Some(stored);
+        }
+        if state.finalized {
+            for (term, list) in state.postings {
+                if let Some(list) = PostingList::from_scored(list) {
+                    Arc::make_mut(terms.entry(term).or_default()).postings = Some(Arc::new(list));
+                }
+            }
+        }
+        self.state.finalized = state.finalized;
         self.cache.clear();
+        self.all_dirty = true;
     }
 
-    /// Replaces the query-result cache with an empty one of the given
-    /// capacity (0 disables caching).
+    /// Empties the query-result caches — the engine's own and its front's —
+    /// and sets their capacity (0 disables caching). Hit/miss counters keep
+    /// counting.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache = QueryCache::new(capacity);
+        self.cache.set_capacity(capacity);
+        self.front.cache().set_capacity(capacity);
     }
 
-    /// Number of searches answered from the query-result cache.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_hits`"
-    )]
-    pub fn cache_hits(&self) -> u64 {
-        self.metrics().cache_hits
-    }
-
-    /// Number of searches that had to be evaluated.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_misses`"
-    )]
-    pub fn cache_misses(&self) -> u64 {
-        self.metrics().cache_misses
-    }
-
-    /// Number of query results currently cached.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_len`"
-    )]
-    pub fn cache_len(&self) -> usize {
-        self.metrics().cache_len
-    }
-
-    /// A snapshot of the engine's serving counters.
+    /// A snapshot of the engine's serving counters (cache fields describe
+    /// the engine's own cache; see [`ServingFront::metrics`] for the
+    /// front's).
     pub fn metrics(&self) -> EngineMetrics {
+        let lists = self
+            .state
+            .terms
+            .values()
+            .filter_map(|s| s.postings.as_ref());
+        let (indexed_terms, indexed_postings) = lists.fold((0, 0), |(terms, postings), list| {
+            (terms + 1, postings + list.sorted.len())
+        });
         EngineMetrics {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_len: self.cache.len(),
             cache_capacity: self.cache.capacity(),
-            finalized: self.prebuilt.is_some(),
-            indexed_terms: self.prebuilt.as_ref().map_or(0, InvertedIndex::n_terms),
-            indexed_postings: self.prebuilt.as_ref().map_or(0, InvertedIndex::n_postings),
+            finalized: self.state.finalized,
+            indexed_terms,
+            indexed_postings,
             finalize_count: self.finalize_count,
             last_finalize_ms: self.last_finalize.map(|d| d.as_secs_f64() * 1000.0),
             term_rescore_count: self.term_rescore_count,
-            n_docs: self.collection.documents().len(),
+            n_docs: self.state.collection.documents().len(),
         }
     }
 
-    /// Validates and resolves a [`Query`] against the engine's current
-    /// snapshot into an executable plan.
-    fn plan(&self, query: &Query) -> Result<QueryPlan, QueryError> {
-        plan_query(&self.collection, self.config, query)
-    }
-
-    /// Evaluates a plan against the cheapest sound index: the prebuilt
-    /// full-collection index when the plan matches what it was built under
-    /// (no filters, no per-query overrides), a per-query filtered index
-    /// otherwise. Filtering happens *before* the Threshold Algorithm runs,
-    /// so its early-termination bound applies to the filtered lists
-    /// unchanged.
-    fn evaluate(&self, plan: &QueryPlan) -> (Vec<SearchResult>, QueryStats) {
-        let direct = plan.filter.is_none() && plan.config == self.config && self.prebuilt.is_some();
-        let (results, ta) = match (&self.prebuilt, direct) {
-            (Some(index), true) => {
-                threshold_topk_with_stats(index, &plan.terms, plan.k, plan.config.no_pattern)
-            }
-            _ => {
-                let index = self.build_index_with(&plan.terms, plan.config, plan.filter);
-                threshold_topk_with_stats(&index, &plan.terms, plan.k, plan.config.no_pattern)
-            }
-        };
-        (results, evaluated_stats(plan, ta, direct))
-    }
-
-    /// Assembles the response, computing explanations when asked to (also
-    /// on cache hits — explanations are derived from the live pattern
-    /// store, never cached).
-    fn respond(
-        &self,
-        plan: &QueryPlan,
-        results: Vec<SearchResult>,
-        stats: QueryStats,
-    ) -> QueryResponse {
-        let explanations = if plan.explain {
-            self.explain_results(plan, &results)
-        } else {
-            Vec::new()
-        };
-        QueryResponse {
-            results,
-            explanations,
-            stats,
-        }
-    }
-
-    /// Per-document Eq. 10–11 breakdown of a result list under a plan's
-    /// effective configuration and filters.
-    fn explain_results(&self, plan: &QueryPlan, results: &[SearchResult]) -> Vec<DocExplanation> {
-        explain_results_with(
-            &self.collection,
-            plan,
-            results,
-            |term| self.doc_freq(term),
-            |term| self.patterns.get(&term).map(Vec::as_slice),
-        )
-    }
-
-    /// Executes a typed [`Query`]: the canonical entry point of the serving
-    /// API.
+    /// Executes a typed [`Query`] against the engine's working state: the
+    /// canonical entry point of the serving API.
     ///
     /// Scoring follows Eq. 10–11 restricted to the patterns that pass the
     /// query's time/region filters (see the [`crate::query`] module docs
     /// for the exact filter semantics). Results come from the result cache
     /// when the *full* canonical query — terms, `k`, effective
     /// configuration, and filters — was answered before; otherwise the
-    /// evaluation walks the prebuilt index (unfiltered queries on a
+    /// evaluation walks the prebuilt posting lists (unfiltered queries on a
     /// finalized engine) or scores the query terms' filtered posting lists
     /// on the fly. Either way [`QueryResponse::stats`] says which path ran.
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
-        match self.obs.get() {
-            None => self.query_plain(query),
-            Some(obs) => self.query_observed(query, &Arc::clone(obs)),
-        }
-    }
-
-    fn query_plain(&self, query: &Query) -> Result<QueryResponse, QueryError> {
-        let plan = self.plan(query)?;
-        if plan.vacuous {
-            return Ok(vacuous_response(&plan));
-        }
-        let key = plan_key(&plan);
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(self.respond(&plan, hit, cache_hit_stats(&plan)));
-        }
-        let (results, stats) = self.evaluate(&plan);
-        self.cache.put(key, results.clone());
-        Ok(self.respond(&plan, results, stats))
-    }
-
-    /// [`query_plain`](Self::query_plain) with span instrumentation: same
-    /// calls in the same order, plus `Instant` reads between stages and
-    /// lock-free metric recording at the end. The whole `evaluate` step is
-    /// timed as one [`SpanKind::TaScan`] span (this tier has no shard
-    /// gather to split out).
-    fn query_observed(
-        &self,
-        query: &Query,
-        obs: &Arc<SearchObs>,
-    ) -> Result<QueryResponse, QueryError> {
-        let mut clock = SpanClock::start();
-        let plan = match self.plan(query) {
-            Ok(plan) => plan,
-            Err(e) => {
-                obs.record_error();
-                return Err(e);
-            }
-        };
-        clock.lap(SpanKind::Plan);
-        if plan.vacuous {
-            let response = vacuous_response(&plan);
-            obs.record_query(clock, &plan_key(&plan), &response.stats);
-            return Ok(response);
-        }
-        let key = plan_key(&plan);
-        if let Some(hit) = self.cache.get(&key) {
-            clock.lap(SpanKind::CacheLookup);
-            let response = self.respond(&plan, hit, cache_hit_stats(&plan));
-            clock.lap(SpanKind::Respond);
-            obs.record_query(clock, &key, &response.stats);
-            return Ok(response);
-        }
-        clock.lap(SpanKind::CacheLookup);
-        let (results, stats) = self.evaluate(&plan);
-        clock.lap(SpanKind::TaScan);
-        self.cache.put(key.clone(), results.clone());
-        let response = self.respond(&plan, results, stats);
-        clock.lap(SpanKind::Respond);
-        obs.record_query(clock, &key, &response.stats);
-        Ok(response)
+        self.state.query(
+            query,
+            &self.cache,
+            0,
+            || true,
+            self.obs.get().map(Arc::as_ref),
+        )
     }
 
     /// Executes a batch of typed queries, returning one response per query
-    /// (same order as the input). Each query fails or succeeds on its own.
-    ///
-    /// On a cold engine the batch scores each *distinct* (configuration,
-    /// filter) group's term union once instead of once per query — queries
-    /// with different filters never share an index, since a pattern
-    /// surviving one query's window/region may be excluded by another's.
-    /// On a finalized engine the prebuilt index already amortizes the
-    /// unfiltered work, and repeated queries in the batch hit the cache.
+    /// (same order as the input). Each query fails or succeeds on its own;
+    /// repeated queries in the batch hit the result cache.
     pub fn query_many(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        if self.prebuilt.is_some() {
-            return queries.iter().map(|q| self.query(q)).collect();
-        }
-        let plans: Vec<Result<QueryPlan, QueryError>> =
-            queries.iter().map(|q| self.plan(q)).collect();
-        // Settle everything that needs no evaluation: invalid queries,
-        // vacuous queries, and cache hits.
-        let mut responses: Vec<Option<Result<QueryResponse, QueryError>>> = plans
-            .iter()
-            .map(|p| match p {
-                Err(e) => Some(Err(e.clone())),
-                Ok(plan) if plan.vacuous => Some(Ok(vacuous_response(plan))),
-                Ok(plan) => self
-                    .cache
-                    .get(&plan_key(plan))
-                    .map(|hit| Ok(self.respond(plan, hit, cache_hit_stats(plan)))),
-            })
-            .collect();
-        // Group the queries that missed by their effective (config, filter)
-        // pair: only queries scored under identical restrictions may share
-        // an index.
-        let mut groups: Vec<((EngineConfig, PatternFilter), Vec<usize>)> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let (Ok(plan), None) = (plan, &responses[i]) else {
-                continue;
-            };
-            let fingerprint = (plan.config, plan.filter);
-            match groups.iter_mut().find(|(g, _)| *g == fingerprint) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((fingerprint, vec![i])),
-            }
-        }
-        for ((config, filter), members) in groups {
-            let mut union: Vec<TermId> = members
-                .iter()
-                .flat_map(|&i| {
-                    plans[i]
-                        .as_ref()
-                        .expect("grouped plans are Ok")
-                        .terms
-                        .clone()
-                })
-                .collect();
-            union.sort();
-            union.dedup();
-            let index = self.build_index_with(&union, config, filter);
-            for &i in &members {
-                let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                let key = plan_key(plan);
-                // Re-check the cache: an identical query earlier in this
-                // batch may have just been evaluated and stored.
-                let response = match self.cache.get(&key) {
-                    Some(hit) => self.respond(plan, hit, cache_hit_stats(plan)),
-                    None => {
-                        let (results, ta) = threshold_topk_with_stats(
-                            &index,
-                            &plan.terms,
-                            plan.k,
-                            config.no_pattern,
-                        );
-                        self.cache.put(key, results.clone());
-                        let stats = evaluated_stats(plan, ta, false);
-                        self.respond(plan, results, stats)
-                    }
-                };
-                responses[i] = Some(Ok(response));
-            }
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every query settled"))
-            .collect()
+        queries.iter().map(|q| self.query(q)).collect()
     }
 
-    /// Answers a query: the top-`k` documents by Eq. 10, best first.
-    ///
-    /// Legacy shim: errors (empty query, `k == 0`) collapse to an empty
-    /// result list, as this entry point always did.
-    ///
-    /// **Behavior change (0.3):** repeated terms in `query` now collapse
-    /// to one occurrence before scoring, matching Eq. 10's sum over the
-    /// query's *distinct* terms — `[t, t]` scores exactly like `[t]`
-    /// everywhere (planner, cache key, TA scan, subscriptions). Earlier
-    /// releases summed the repeated term's factor twice through this
-    /// shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query` and call `BurstySearchEngine::query`"
-    )]
-    pub fn search(&self, query: &[TermId], k: usize) -> Vec<SearchResult> {
-        self.query(&Query::terms(query.iter().copied()).top_k(k))
-            .map(|response| response.results)
-            .unwrap_or_default()
+    /// The shared read front, serving the last published generation.
+    pub fn front(&self) -> Arc<ServingFront> {
+        Arc::clone(&self.front)
     }
 
-    /// Answers a batch of queries with one shared index, returning one
-    /// result list per query (same order as the input).
-    ///
-    /// Legacy shim over [`BurstySearchEngine::query_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "build typed `Query` values and call `BurstySearchEngine::query_many`"
-    )]
-    pub fn search_many(&self, queries: &[Vec<TermId>], k: usize) -> Vec<Vec<SearchResult>> {
-        let typed: Vec<Query> = queries
-            .iter()
-            .map(|q| Query::terms(q.iter().copied()).top_k(k))
-            .collect();
-        self.query_many(&typed)
-            .into_iter()
-            .map(|r| r.map(|response| response.results).unwrap_or_default())
-            .collect()
+    /// The generation of the last [`publish`](Self::publish) (0 before the
+    /// first).
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
-    /// Convenience: answers a query given as raw strings, resolving them
-    /// against the engine's collection snapshot.
-    ///
-    /// Legacy shim: unknown words follow the engine's no-pattern policy
-    /// (under [`NoPatternPolicy::Exclude`] a query containing an unknown
-    /// word matches nothing; under [`NoPatternPolicy::Zero`] unknown words
-    /// are dropped), and the call never fails — malformed queries collapse
-    /// to an empty result list.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query::text(..)` and call `BurstySearchEngine::query`"
-    )]
-    pub fn search_text(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let unknown = match self.config.no_pattern {
-            NoPatternPolicy::Exclude => UnknownWords::EmptyResponse,
-            NoPatternPolicy::Zero => UnknownWords::Drop,
+    /// Publishes the working state to the front as one new generation.
+    /// Every term's state is shared with the generation, not copied; the
+    /// cached results of the terms dirtied since the last publish are
+    /// invalidated (all of them after a finalize or import).
+    pub fn publish(&mut self) {
+        self.generation += 1;
+        let next = Generation {
+            number: self.generation,
+            state: self.state.clone(),
+            metrics: self.metrics(),
         };
-        self.query(&Query::text(query).top_k(k).unknown_words(unknown))
-            .map(|response| response.results)
-            .unwrap_or_default()
+        self.front.publish(next, &self.dirty, self.all_dirty);
+        self.dirty.clear();
+        self.all_dirty = false;
+    }
+
+    /// Crash-recovery restore: re-derives the corpus-level term→documents
+    /// lists from `collection`, imports the persisted derived state
+    /// bit-for-bit, resets the build counters, and publishes the result as
+    /// a new generation on the *same* front, so existing [`ServingFront`]
+    /// handles keep working.
+    pub fn restore(&mut self, collection: impl Into<Arc<Collection>>, state: EngineState) {
+        let collection: Arc<Collection> = collection.into();
+        self.positions = collection.positions();
+        self.state.terms = Arc::new(index_documents(&collection));
+        self.state.collection = collection;
+        self.finalize_count = 0;
+        self.last_finalize = None;
+        self.term_rescore_count = 0;
+        self.import_state(state);
+        self.publish();
+    }
+
+    /// The working state (for structural tests).
+    #[cfg(test)]
+    pub(crate) fn serving_state(&self) -> &ServingState {
+        &self.state
     }
 }
 
@@ -1035,12 +792,10 @@ pub(crate) struct QueryPlan {
 // ---------------------------------------------------------------------------
 // Shared query-execution machinery.
 //
-// These free functions are the single implementation of planning, scoring,
-// stats assembly, and explanation used by BOTH `BurstySearchEngine` (above)
-// and the sharded lock-free serving tier (`crate::shard`). Sharing them is
-// what makes the two paths bit-identical: every float operation a query
-// triggers runs through exactly this code, in exactly this order, no matter
-// which tier executes it.
+// The building blocks of the one query path (`ServingState::query` in
+// `crate::serving`): planning, scoring, stats assembly, and explanation.
+// Every float operation a query triggers runs through exactly this code, in
+// exactly this order, whether the engine or its front executes it.
 // ---------------------------------------------------------------------------
 
 /// Validates and resolves a [`Query`] against a collection snapshot under a
@@ -1680,13 +1435,8 @@ mod tests {
         many.set_patterns(flood, &[flood_pattern()]);
         many.finalize_with_threads(8);
         assert_same_results(&run(&one, &[flood], 10), &run(&many, &[flood], 10));
-        // The prebuilt indexes are structurally identical too.
-        let (a, b) = (
-            one.prebuilt_index().unwrap(),
-            many.prebuilt_index().unwrap(),
-        );
-        assert_eq!(a.n_terms(), b.n_terms());
-        assert_eq!(a.n_postings(), b.n_postings());
+        // The prebuilt lists are identical too.
+        assert_eq!(one.export_state(), many.export_state());
     }
 
     #[test]
@@ -2047,72 +1797,5 @@ mod tests {
         assert_eq!(custom.relevance, Relevance::TfIdf);
         assert_eq!(custom.aggregation, BurstinessAgg::Mean);
         assert_eq!(custom.no_pattern, NoPatternPolicy::Zero);
-    }
-
-    /// The legacy trio must keep compiling and behaving exactly as before
-    /// while the workspace migrates to the typed API.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
-
-        #[test]
-        fn search_matches_query() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            assert_same_results(&engine.search(&[flood], 6), &run(&engine, &[flood], 6));
-            // Degenerate inputs collapse to empty results, as they always did.
-            assert!(engine.search(&[], 5).is_empty());
-            assert!(engine.search(&[flood], 0).is_empty());
-        }
-
-        #[test]
-        fn search_text_follows_no_pattern_policy() {
-            let (c, flood) = build_fixture();
-            // Exclude: a query containing an unknown word matches nothing.
-            let mut strict = BurstySearchEngine::new(&c, EngineConfig::default());
-            strict.set_patterns(flood, &[flood_pattern()]);
-            assert!(!strict.search_text("flood", 5).is_empty());
-            assert!(strict.search_text("flood unknownterm", 5).is_empty());
-            // Zero: unknown words are dropped.
-            let mut lenient = BurstySearchEngine::new(
-                &c,
-                EngineConfig::builder()
-                    .no_pattern(NoPatternPolicy::Zero)
-                    .build(),
-            );
-            lenient.set_patterns(flood, &[flood_pattern()]);
-            assert_eq!(
-                lenient.search_text("Flood unknownterm", 5).len(),
-                lenient.search_text("Flood", 5).len()
-            );
-            assert!(lenient.search_text("unknownterm", 5).is_empty());
-        }
-
-        #[test]
-        fn search_many_matches_individual_searches() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            let queries = vec![vec![flood], vec![], vec![flood]];
-            let batch = engine.search_many(&queries, 5);
-            assert_eq!(batch.len(), 3);
-            assert_same_results(&batch[0], &engine.search(&[flood], 5));
-            assert!(batch[1].is_empty());
-            assert_same_results(&batch[2], &batch[0]);
-        }
-
-        #[test]
-        fn cache_counter_forwarders_agree_with_metrics() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            let _ = engine.search(&[flood], 5);
-            let _ = engine.search(&[flood], 5);
-            let m = engine.metrics();
-            assert_eq!(engine.cache_hits(), m.cache_hits);
-            assert_eq!(engine.cache_misses(), m.cache_misses);
-            assert_eq!(engine.cache_len(), m.cache_len);
-        }
     }
 }

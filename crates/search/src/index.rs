@@ -20,8 +20,9 @@
 //!
 //! Already-scored whole lists can be bulk-loaded with
 //! [`InvertedIndex::set_postings`], which keeps the per-term invariants
-//! without touching the rest of the index — this is what the search
-//! engine's incremental per-term rebuild uses.
+//! without touching the rest of the index. The search engine keeps its
+//! prebuilt per-term lists in the same `PostingList` shape, one shared
+//! list per term (see `crate::serving`).
 //!
 //! ```
 //! use stb_search::InvertedIndex;
@@ -50,11 +51,35 @@ pub struct Posting {
     pub score: f64,
 }
 
+/// One term's posting list with both access paths the Threshold Algorithm
+/// needs: the score-sorted list (sorted access) and a by-document map
+/// (random access).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PostingList {
+    pub(crate) sorted: Vec<Posting>,
+    pub(crate) by_doc: HashMap<DocId, f64>,
+}
+
+impl PostingList {
+    /// Builds the sorted, deduplicated list of an already-scored posting
+    /// set; `None` for an empty set (a term without postings has no list).
+    pub(crate) fn from_scored(mut list: Vec<Posting>) -> Option<Self> {
+        if list.is_empty() {
+            return None;
+        }
+        let by_doc: HashMap<DocId, f64> = list.iter().map(|p| (p.doc, p.score)).collect();
+        sort_posting_list(&mut list, &by_doc);
+        Some(Self {
+            sorted: list,
+            by_doc,
+        })
+    }
+}
+
 /// A per-term inverted index over per-document scores.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    postings: HashMap<TermId, Vec<Posting>>,
-    random_access: HashMap<TermId, HashMap<DocId, f64>>,
+    lists: HashMap<TermId, PostingList>,
     /// Whether every posting list is currently sorted and deduplicated. A
     /// fresh (empty) index is vacuously finalized; `insert` clears the flag.
     finalized: bool,
@@ -63,8 +88,7 @@ pub struct InvertedIndex {
 impl Default for InvertedIndex {
     fn default() -> Self {
         Self {
-            postings: HashMap::new(),
-            random_access: HashMap::new(),
+            lists: HashMap::new(),
             finalized: true,
         }
     }
@@ -102,14 +126,9 @@ impl InvertedIndex {
     /// always call it after the last insertion.
     pub fn insert(&mut self, term: TermId, doc: DocId, score: f64) {
         self.finalized = false;
-        self.postings
-            .entry(term)
-            .or_default()
-            .push(Posting { doc, score });
-        self.random_access
-            .entry(term)
-            .or_default()
-            .insert(doc, score);
+        let list = self.lists.entry(term).or_default();
+        list.sorted.push(Posting { doc, score });
+        list.by_doc.insert(doc, score);
     }
 
     /// Replaces the whole posting list of `term` in one step, keeping the
@@ -117,18 +136,16 @@ impl InvertedIndex {
     /// the term entirely.
     ///
     /// Unlike [`InvertedIndex::insert`] this does *not* un-finalize the
-    /// index: it is the building block of the engine's incremental per-term
-    /// rebuild, where the rest of the index stays valid.
-    pub fn set_postings(&mut self, term: TermId, mut list: Vec<Posting>) {
-        if list.is_empty() {
-            self.postings.remove(&term);
-            self.random_access.remove(&term);
-            return;
+    /// index: the rest of the index stays valid.
+    pub fn set_postings(&mut self, term: TermId, list: Vec<Posting>) {
+        match PostingList::from_scored(list) {
+            Some(list) => {
+                self.lists.insert(term, list);
+            }
+            None => {
+                self.lists.remove(&term);
+            }
         }
-        let map: HashMap<DocId, f64> = list.iter().map(|p| (p.doc, p.score)).collect();
-        sort_posting_list(&mut list, &map);
-        self.postings.insert(term, list);
-        self.random_access.insert(term, map);
     }
 
     /// Sorts every posting list by descending score (ties broken by doc id
@@ -141,8 +158,8 @@ impl InvertedIndex {
         if self.finalized {
             return;
         }
-        for (term, list) in &mut self.postings {
-            sort_posting_list(list, &self.random_access[term]);
+        for list in self.lists.values_mut() {
+            sort_posting_list(&mut list.sorted, &list.by_doc);
         }
         self.finalized = true;
     }
@@ -165,39 +182,36 @@ impl InvertedIndex {
             self.finalized,
             "sorted access before InvertedIndex::finalize()"
         );
-        self.postings.get(&term).map(Vec::as_slice).unwrap_or(&[])
+        self.lists.get(&term).map_or(&[], |l| l.sorted.as_slice())
     }
 
     /// Random access: the score of `doc` for `term`, if the document appears
     /// in the term's posting list. Allowed in any state.
     pub fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
-        self.random_access
-            .get(&term)
-            .and_then(|m| m.get(&doc))
-            .copied()
+        self.lists.get(&term)?.by_doc.get(&doc).copied()
     }
 
     /// Number of terms with at least one posting.
     pub fn n_terms(&self) -> usize {
-        self.postings.len()
+        self.lists.len()
     }
 
     /// Ids of every term with at least one posting, sorted (a deterministic
-    /// iteration order for state export).
+    /// iteration order).
     pub fn terms(&self) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self.postings.keys().copied().collect();
+        let mut terms: Vec<TermId> = self.lists.keys().copied().collect();
         terms.sort();
         terms
     }
 
     /// Total number of postings over all terms.
     pub fn n_postings(&self) -> usize {
-        self.postings.values().map(Vec::len).sum()
+        self.lists.values().map(|l| l.sorted.len()).sum()
     }
 
     /// Number of postings of a term.
     pub fn doc_freq(&self, term: TermId) -> usize {
-        self.postings.get(&term).map(Vec::len).unwrap_or(0)
+        self.lists.get(&term).map_or(0, |l| l.sorted.len())
     }
 }
 

@@ -18,49 +18,39 @@
 //! [`BurstySearchEngine::query`] → `Result<QueryResponse, QueryError>`):
 //! term or text queries with optional `time_window`/`region` filters that
 //! restrict scoring to the patterns intersecting both, per-document
-//! explanations of the Eq. 10–11 factors, and execution statistics. The
-//! historical `search`/`search_many`/`search_text` trio remains as thin
-//! deprecated shims over the DSL.
+//! explanations of the Eq. 10–11 factors, and execution statistics.
 //!
-//! Retrieval uses a classic IR architecture: an [`InvertedIndex`] with
-//! per-term postings sorted by score, queried with Fagin's Threshold
-//! Algorithm ([`threshold_topk`]) for early-terminating top-k evaluation.
-//! For serving repeated query traffic, [`BurstySearchEngine::finalize`]
-//! prebuilds the whole collection's scored posting lists in parallel, an
-//! LRU [`cache::QueryCache`] short-circuits repeated queries (keyed on the
-//! full canonical query, filters included), and
-//! [`BurstySearchEngine::query_many`] batches whole workloads.
+//! Retrieval uses a classic IR architecture: per-term posting lists sorted
+//! by score, queried with Fagin's Threshold Algorithm ([`threshold_topk`])
+//! for early-terminating top-k evaluation. For serving repeated query
+//! traffic, [`BurstySearchEngine::finalize`] prebuilds every term's scored
+//! posting list in parallel, and an LRU [`cache::QueryCache`]
+//! short-circuits repeated queries (keyed on the full canonical query,
+//! filters included).
 //!
-//! The engine owns its collection as an `Arc` snapshot, so queries can be
-//! served concurrently with ingestion: the `stb-ingest` pipeline swaps in
-//! newer snapshots with [`BurstySearchEngine::update_collection`] and
-//! re-scores only the affected terms
-//! ([`BurstySearchEngine::refresh_term`]); serving counters are exposed
-//! through [`EngineMetrics`].
-//!
-//! For concurrent serving under live ingestion, the [`shard`] module adds a
-//! lock-free tier on top: a [`ShardedEngine`] write side that shards every
-//! term's derived state by hash ([`shard_of`]) and publishes generational
-//! snapshots through an [`EpochCell`], and a [`ServingFront`] read side
-//! whose queries never take a lock yet answer bit-identically to the
-//! unsharded engine.
+//! Each term's serving state — documents, patterns, and prebuilt posting
+//! list — exists once, behind an `Arc` (see [`serving`]). The engine
+//! mutates its working state (swapping in collection snapshots with
+//! [`BurstySearchEngine::update_collection`] and re-scoring only the
+//! affected terms with [`BurstySearchEngine::refresh_term`]) while
+//! concurrent readers query a [`ServingFront`]: each
+//! [`BurstySearchEngine::publish`] hands the front a new generation that
+//! shares the term state instead of copying it, and both run the same
+//! query function, so they answer bit-identically over the same state.
+//! Serving counters are exposed through [`EngineMetrics`].
 
-// `deny` rather than `forbid`: the epoch-based snapshot cell (`epoch`
-// module) opts back in locally with a reviewed, documented unsafe core;
-// everything else in the crate remains lint-enforced safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod burstiness;
 pub mod cache;
 pub mod engine;
-pub mod epoch;
 pub mod error;
 pub mod index;
 pub mod obs;
 pub mod query;
 pub mod relevance;
-pub mod shard;
+pub mod serving;
 pub mod threshold;
 
 pub use burstiness::{BurstinessAgg, NoPatternPolicy};
@@ -69,7 +59,6 @@ pub use engine::{
     BurstySearchEngine, EngineConfig, EngineConfigBuilder, EngineMetrics, EngineState,
     SearchResult, DEFAULT_CACHE_CAPACITY,
 };
-pub use epoch::EpochCell;
 pub use error::QueryError;
 pub use index::{InvertedIndex, Posting};
 pub use obs::{SearchObs, SearchObsConfig};
@@ -78,5 +67,5 @@ pub use query::{
     TermExplanation, UnknownWords, DEFAULT_TOP_K,
 };
 pub use relevance::Relevance;
-pub use shard::{shard_of, ServingFront, ShardedEngine, DEFAULT_SHARDS};
+pub use serving::ServingFront;
 pub use threshold::{threshold_topk, threshold_topk_with_stats, PostingAccess, TopkStats};

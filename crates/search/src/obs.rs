@@ -5,14 +5,13 @@
 //! sampled trace ring, and the slow-query log — around one shared
 //! [`ObsRegistry`]. It is attached to a [`crate::ServingFront`] (or a
 //! standalone [`crate::BurstySearchEngine`]) once at wiring time via
-//! `attach_obs`; un-attached engines skip instrumentation entirely (one
-//! atomic load and a branch per query), which is the "compiled-out"
+//! `attach_obs`; un-attached engines skip instrumentation entirely (an
+//! untaken branch per query stage), which is the "compiled-out"
 //! baseline the `bench_obs` overhead gate compares against.
 //!
-//! Recording obeys the crate's lock-free serving discipline: histograms
-//! and counters are relaxed atomics, trace/slow-log capture claims a ring
-//! slot with a `try_lock` and drops the sample on contention. Nothing on
-//! the query path ever blocks another reader.
+//! Recording never blocks a reader: histograms and counters are relaxed
+//! atomics, and trace/slow-log capture claims a ring slot with a
+//! `try_lock` and drops the sample on contention.
 
 use crate::cache::QueryKey;
 use crate::query::QueryStats;

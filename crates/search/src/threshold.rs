@@ -25,10 +25,10 @@ use stb_corpus::{DocId, TermId};
 /// Sorted + random access to per-term posting lists, as TA requires.
 ///
 /// The algorithm is agnostic to where the lists live: the engine hands it an
-/// [`InvertedIndex`], while the sharded serving tier gathers per-term lists
-/// from shard snapshots and exposes them through this trait so both paths
-/// execute the *same* float operations in the same order (bit-identical
-/// results).
+/// [`InvertedIndex`] for per-query (filtered or cold) lists, while prebuilt
+/// per-term lists are gathered from the serving state and exposed through
+/// this trait, so both execute the *same* float operations in the same
+/// order (bit-identical results).
 pub trait PostingAccess {
     /// The posting list of `term`, sorted by score descending (doc id
     /// ascending on ties); empty for unknown terms.

@@ -21,14 +21,14 @@ use std::time::Duration;
 use stb_core::CombinatorialPattern;
 use stb_corpus::{CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
-use stb_search::{EngineConfig, Query, ServingFront, ShardedEngine};
+use stb_search::{BurstySearchEngine, EngineConfig, Query, ServingFront};
 use stb_subscribe::{OverflowPolicy, SubscriptionOptions, SubscriptionRegistry};
 use stb_timeseries::TimeInterval;
 
 /// A small two-term fixture: `flood` is the subscribed term whose
 /// patterns the test re-mines tick by tick; `cricket` stays quiet.
 struct Fixture {
-    engine: ShardedEngine,
+    engine: BurstySearchEngine,
     registry: Arc<SubscriptionRegistry>,
     front: Arc<ServingFront>,
     flood: TermId,
@@ -60,7 +60,8 @@ impl Fixture {
                 b.add_document(s, ts, counts);
             }
         }
-        let mut engine = ShardedEngine::new(Arc::new(b.build()), EngineConfig::default(), 4, 16);
+        let mut engine = BurstySearchEngine::new(b.build(), EngineConfig::default());
+        engine.set_cache_capacity(16);
         engine.set_patterns(flood, &[pattern(1.0)]);
         engine.finalize_with_threads(1);
         engine.publish();

@@ -24,11 +24,10 @@ use stburst::ingest::{
     StoreError, TickReceipt,
 };
 use stburst::search::{
-    shard_of, threshold_topk, threshold_topk_with_stats, BurstinessAgg, BurstySearchEngine,
-    DocExplanation, EngineConfig, EngineMetrics, EpochCell, InvertedIndex, NoPatternPolicy,
-    PatternMatch, Posting, Query, QueryCache, QueryError, QueryKey, QueryResponse, QueryStats,
-    Relevance, SearchResult, ServingFront, ShardedEngine, TermExplanation, TopkStats, UnknownWords,
-    DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS, DEFAULT_TOP_K,
+    threshold_topk, threshold_topk_with_stats, BurstinessAgg, BurstySearchEngine, DocExplanation,
+    EngineConfig, EngineMetrics, InvertedIndex, NoPatternPolicy, PatternMatch, Posting, Query,
+    QueryCache, QueryError, QueryKey, QueryResponse, QueryStats, Relevance, SearchResult,
+    ServingFront, TermExplanation, TopkStats, UnknownWords, DEFAULT_CACHE_CAPACITY, DEFAULT_TOP_K,
 };
 use stburst::timeseries::TimeInterval;
 
@@ -142,7 +141,6 @@ fn engine_surface() {
     engine.set_cache_capacity(DEFAULT_CACHE_CAPACITY);
     engine.finalize_with_threads(2);
     assert!(engine.is_finalized());
-    let _: Option<&InvertedIndex> = engine.prebuilt_index();
     let _: usize = engine.doc_freq(term);
     let _: Option<f64> = engine.document_burstiness(term, DocId(0));
     engine.refresh_term(term);
@@ -166,29 +164,6 @@ fn engine_surface() {
         metrics.term_rescore_count,
         metrics.n_docs,
     );
-}
-
-/// The deprecated legacy trio keeps compiling against its old signatures.
-#[test]
-#[allow(deprecated)]
-fn legacy_shim_surface() {
-    let (collection, term, stream) = tiny_collection();
-    let mut engine = BurstySearchEngine::new(&collection, EngineConfig::default());
-    engine.set_patterns(
-        term,
-        &[CombinatorialPattern::new(
-            vec![stream],
-            TimeInterval::new(1, 3),
-            2.0,
-            vec![],
-        )],
-    );
-    let _: Vec<SearchResult> = engine.search(&[term], 3);
-    let _: Vec<Vec<SearchResult>> = engine.search_many(&[vec![term]], 3);
-    let _: Vec<SearchResult> = engine.search_text("storm", 3);
-    let _: u64 = engine.cache_hits();
-    let _: u64 = engine.cache_misses();
-    let _: usize = engine.cache_len();
 }
 
 /// Index + threshold layer: the retrieval primitives under the engine.
@@ -279,7 +254,6 @@ fn ingest_surface() {
         miner: MinerKind::STLocal(STLocalConfig::default()),
         engine: EngineConfig::default(),
         cache_capacity: 16,
-        n_shards: DEFAULT_SHARDS,
         durability: Durability::Buffered,
         checkpoint_every_ticks: 0,
         retry: RetryPolicy::default(),
@@ -336,50 +310,30 @@ fn ingest_surface() {
     assert_eq!(replayed.ticks_committed(), 2);
 }
 
-/// The sharded lock-free serving tier: epoch cells, shard routing, the
-/// read front, the write-side sharded engine, and the thread-safety bounds
-/// the whole design rests on.
+/// The serving tier: the engine's publish/front surface and the
+/// thread-safety bounds the whole design rests on.
 #[test]
 fn serving_tier_surface() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EpochCell<Vec<u64>>>();
+    assert_send_sync::<BurstySearchEngine>();
     assert_send_sync::<ServingFront>();
-    assert_send_sync::<ShardedEngine>();
     assert_send_sync::<SearchHandle>();
     assert_send_sync::<QueryCache>();
 
-    // EpochCell: the publication primitive — readers load, writers store.
-    let cell: EpochCell<u64> = EpochCell::new(Arc::new(7));
-    let snapshot: Arc<u64> = cell.load();
-    assert_eq!(*snapshot, 7);
-    cell.store(Arc::new(8));
-    let _: u64 = cell.epoch();
-    let _: usize = cell.reclaimable();
-
-    // Term-hash shard routing is public and total over shard counts.
-    assert!(shard_of(TermId(42), DEFAULT_SHARDS) < DEFAULT_SHARDS);
-    assert_eq!(shard_of(TermId(42), 1), 0);
-
-    // ShardedEngine: the write side mirrors BurstySearchEngine's mutation
-    // surface and publishes generations; the front is the shared read side.
+    // The engine publishes generations of its state to a shared front.
     let (collection, term, stream) = tiny_collection();
-    let mut engine = ShardedEngine::new(collection, EngineConfig::default(), DEFAULT_SHARDS, 16);
+    let mut engine = BurstySearchEngine::new(collection, EngineConfig::default());
     let pattern = CombinatorialPattern::new(vec![stream], TimeInterval::new(1, 3), 2.0, vec![]);
     engine.set_patterns(term, std::slice::from_ref(&pattern));
-    let source: Vec<(TermId, Vec<CombinatorialPattern>)> = vec![(term, vec![pattern])];
-    engine.set_patterns_from(&source);
-    engine.refresh_term(term);
     engine.finalize_with_threads(1);
     engine.publish();
-    assert_eq!(engine.n_shards(), DEFAULT_SHARDS);
     let _: u64 = engine.generation();
-    let _: &BurstySearchEngine = engine.engine();
-    let _: EngineMetrics = engine.metrics();
+    engine.restore(Arc::clone(engine.collection()), engine.export_state());
 
     let front: Arc<ServingFront> = engine.front();
     let _: Result<QueryResponse, QueryError> = front.query(&Query::terms([term]));
     let _: Vec<Result<QueryResponse, QueryError>> = front.query_many(&[Query::terms([term])]);
-    let _: (u64, usize) = (front.generation(), front.n_shards());
+    let _: u64 = front.generation();
     let _: Arc<Collection> = front.collection();
     let _: EngineConfig = front.config();
     let _: EngineMetrics = front.metrics();
@@ -387,6 +341,7 @@ fn serving_tier_surface() {
 
     // Generation-tagged cache entries: the read path's consistency gate.
     let cache = QueryCache::new(4);
+    cache.set_capacity(4);
     let key = QueryKey::new(&[term], 2, EngineConfig::default());
     cache.put_tagged(key.clone(), Vec::new(), 3, || true);
     assert!(cache.get_at(&key, 2).is_none()); // newer than the reader
@@ -670,8 +625,6 @@ fn store_surface() {
     pipeline.commit_tick();
     let _: DurabilityState = pipeline.durability_state();
     let _: DurabilityState = pipeline.try_recover_durability();
-    #[allow(deprecated)]
-    let _: Option<&StoreError> = pipeline.wal_error();
     let _: SnapshotState = pipeline.export_snapshot_state();
     let _: u64 = pipeline.checkpoint().unwrap();
     let metrics = pipeline.metrics();
